@@ -12,7 +12,7 @@
 
 use stimulus::splitmix64;
 
-use crate::worker::{FaultMode, WorkerFault};
+use crate::worker::{FaultMode, GroupFault, WorkerFault};
 
 /// A scripted set of worker faults derived from one seed.
 #[derive(Debug, Clone)]
@@ -83,6 +83,20 @@ impl ChaosPlan {
             .iter()
             .find(|&&(w, _)| w == index)
             .map(|&(_, f)| f)
+    }
+
+    /// The same campaign addressed to groups instead of workers: the
+    /// fault scripted for worker `w` becomes "whoever first picks up
+    /// group `w` dies". Hand the whole list to every in-process worker.
+    /// Every fault whose group exists lands, however the groups get
+    /// spread over the workers — on a batch of at least `workers` groups
+    /// that is all of them — and with fewer faults than workers a
+    /// survivor always remains.
+    pub fn group_faults(&self) -> Vec<GroupFault> {
+        self.faults
+            .iter()
+            .map(|&(w, f)| GroupFault::new(w as u32, f.mode, f.mid_cycle))
+            .collect()
     }
 
     /// Human-readable schedule, one line per scripted fault.

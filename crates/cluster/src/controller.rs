@@ -29,7 +29,7 @@ mod modelpar;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,8 +38,10 @@ use stimulus::StimulusSource;
 
 use crate::error::ClusterError;
 use crate::metrics::{ClusterMetrics, WorkerReport};
+use crate::stop::StopFlag;
 use crate::wire::{
-    read_frame, write_frame, BatchDescriptor, Frame, GroupDispatch, WireError, VERSION,
+    read_frame, write_frame, BatchDescriptor, Frame, FrameWriter, GroupDispatch, GroupDispatchRef,
+    WireError, VERSION,
 };
 
 /// Controller-side scheduling configuration.
@@ -142,7 +144,7 @@ impl MetricsAcc {
 /// handle.
 struct Shared {
     cfg: ClusterConfig,
-    stop: AtomicBool,
+    stop: StopFlag,
     registry: Mutex<Vec<WorkerConn>>,
     registry_cv: Condvar,
     metrics: Mutex<MetricsAcc>,
@@ -167,7 +169,7 @@ impl Controller {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             cfg,
-            stop: AtomicBool::new(false),
+            stop: StopFlag::default(),
             registry: Mutex::new(Vec::new()),
             registry_cv: Condvar::new(),
             metrics: Mutex::new(MetricsAcc::default()),
@@ -362,7 +364,7 @@ impl Controller {
     /// Orderly shutdown: say `Goodbye` to every idle worker (they exit
     /// instead of reconnecting) and stop accepting registrations.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.raise();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = lock(&self.accept).take() {
@@ -406,11 +408,13 @@ impl Controller {
         };
         drop(designs);
 
-        // Split so every GroupDispatch fits the wire's payload cap:
-        // group frames cost `len * cycles * lanes * 8` bytes plus a few
-        // fixed fields, and a frame over MAX_PAYLOAD would be refused at
-        // encode time. Smaller groups never change the digests — each
-        // stimulus is independent — only the scheduling granularity.
+        // Split so every GroupDispatch fits the wire's payload cap, which
+        // bounds a frame *unpacked*: group frames cost the worker
+        // `len * cycles * lanes * 8` bytes plus a few fixed fields however
+        // narrow they travel, and a frame over MAX_PAYLOAD would be
+        // refused at encode time. Smaller groups never change the digests
+        // — each stimulus is independent — only the scheduling
+        // granularity.
         const DISPATCH_FIXED_BYTES: u128 = 64;
         let bytes_per_stim = (cycles as u128) * (lanes as u128) * 8;
         let budget = u128::from(crate::wire::MAX_PAYLOAD) - DISPATCH_FIXED_BYTES;
@@ -431,16 +435,16 @@ impl Controller {
             .min(n.max(1))
             .min(wire_cap.max(1));
         let num_groups = n.div_ceil(group_size);
-        let mut frame = vec![0u64; lanes];
         let mut groups = Vec::with_capacity(num_groups);
         for g in 0..num_groups {
             let tid0 = g * group_size;
             let len = group_size.min(n - tid0);
-            let mut frames = Vec::with_capacity(len * cycles as usize * lanes);
-            for s in 0..len {
-                for c in 0..cycles {
-                    source.fill_frame(tid0 + s, c, &mut frame);
-                    frames.extend_from_slice(&frame);
+            // Each frame is filled where it will be sent from.
+            let mut frames = vec![0u64; len * cycles as usize * lanes];
+            if lanes > 0 {
+                for (k, frame) in frames.chunks_exact_mut(lanes).enumerate() {
+                    let (s, c) = (k / cycles as usize, k as u64 % cycles);
+                    source.fill_frame(tid0 + s, c, frame);
                 }
             }
             groups.push(GroupDispatch {
@@ -618,7 +622,9 @@ impl Controller {
             self.die(slot, &mut conn, state, cv, false);
             return None;
         }
-        match write_frame(&mut conn.stream, &Frame::BatchStart(desc.clone())) {
+        // One encode buffer for every frame this connection is sent.
+        let mut writer = FrameWriter::default();
+        match writer.write(&mut conn.stream, &Frame::BatchStart(desc.clone())) {
             Ok(bytes) => self.count_tx(&conn, bytes),
             Err(_) => {
                 self.die(slot, &mut conn, state, cv, false);
@@ -659,22 +665,28 @@ impl Controller {
             };
 
             let started = Instant::now();
-            let mut dispatch = groups[g].clone();
-            if let Some((cycle, image)) = resume {
-                // Attach the resume image only when the combined frame
-                // still fits the wire cap; otherwise fall back to a cold
-                // start (resume is an optimization, never required).
+            // The group's frames and the resume image are encoded from
+            // where they live; neither is cloned into a dispatch.
+            let mut dispatch = groups[g].as_ref();
+            if let Some((cycle, image)) = &resume {
+                // Attach the resume image only when the combined frame,
+                // unpacked, still fits the wire cap; otherwise fall back
+                // to a cold start (resume is an optimization, never
+                // required).
                 let budget = crate::wire::MAX_PAYLOAD as usize;
                 if dispatch.frames.len() * 8 + image.len() + 128 <= budget {
-                    dispatch.resume_cycle = cycle;
-                    dispatch.resume_image = image;
+                    dispatch = GroupDispatchRef {
+                        resume_cycle: *cycle,
+                        resume_image: image,
+                        ..dispatch
+                    };
                     let mut m = lock(&self.shared.metrics);
                     m.groups_resumed += 1;
                     m.resume_cycles_skipped += cycle;
-                    m.max_resume_cycle = m.max_resume_cycle.max(cycle);
+                    m.max_resume_cycle = m.max_resume_cycle.max(*cycle);
                 }
             }
-            match write_frame(&mut conn.stream, &Frame::RunGroup(dispatch)) {
+            match writer.write(&mut conn.stream, &dispatch) {
                 Ok(bytes) => {
                     self.count_tx(&conn, bytes);
                     lock(&self.shared.metrics).dispatches += 1;
@@ -824,7 +836,7 @@ impl Controller {
 
 impl Drop for Controller {
     fn drop(&mut self) {
-        if !self.shared.stop.load(Ordering::SeqCst) {
+        if !self.shared.stop.is_raised() {
             self.shutdown();
         }
     }
@@ -859,7 +871,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if shared.stop.load(Ordering::SeqCst) {
+                if shared.stop.is_raised() {
                     return;
                 }
                 backoff.reset();
@@ -868,11 +880,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Err(_) => {
                 // A persistent accept failure (fd exhaustion…) must
                 // neither busy-spin nor outlive shutdown; the shared
-                // jittered schedule ramps the retry pace down.
-                if shared.stop.load(Ordering::SeqCst) {
+                // jittered schedule ramps the retry pace down, and
+                // shutdown cuts the wait short.
+                if shared.stop.wait(backoff.next_delay()) {
                     return;
                 }
-                std::thread::sleep(backoff.next_delay());
             }
         }
     }

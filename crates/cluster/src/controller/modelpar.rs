@@ -31,7 +31,8 @@ use stimulus::StimulusSource;
 use super::{lock, ClusterJobResult, Controller, WorkerConn};
 use crate::error::ClusterError;
 use crate::wire::{
-    read_frame, write_frame, BatchDescriptor, Frame, GroupDispatch, PartDispatch, PartResult,
+    read_frame, write_frame, BatchDescriptor, Frame, FrameWriter, GroupDispatch, PartDispatchRef,
+    PartResult,
 };
 
 /// Hard cap on rollback epochs per group; hitting it means deaths are
@@ -108,11 +109,15 @@ impl ModelPlan {
 struct GroupCtx<'a> {
     desc: &'a BatchDescriptor,
     plan: &'a ModelPlan,
+    /// Group index within the batch.
+    group: u32,
+    /// The rollback epoch this set of sessions runs.
+    epoch: u32,
     len: usize,
     tid0: u64,
     /// Serialized write handles, one per part connection: boundary
-    /// fan-out from any session thread and the initial dispatch both go
-    /// through these, so frames never interleave on a socket.
+    /// fan-out from any session thread goes through these, so frames
+    /// never interleave on a socket.
     writers: Vec<Mutex<TcpStream>>,
     /// Checkpoint images per part, keyed by cycle. Kept across epochs —
     /// a snapshot of deterministic state is valid regardless of which
@@ -281,30 +286,14 @@ impl Controller {
                 let ctx = GroupCtx {
                     desc,
                     plan,
+                    group: g.group,
+                    epoch,
                     len,
                     tid0: g.tid0,
                     writers,
                     ck: &ck,
                     failed: &failed,
                 };
-                let dispatches: Vec<PartDispatch> = (0..plan.k)
-                    .map(|p| PartDispatch {
-                        batch: desc.batch,
-                        group: g.group,
-                        part: p as u32,
-                        k: plan.k as u32,
-                        epoch,
-                        tid0: g.tid0,
-                        len: g.len,
-                        start_cycle,
-                        resume_image: if start_cycle > 0 {
-                            lock(&ck)[p][&start_cycle].clone()
-                        } else {
-                            Vec::new()
-                        },
-                        frames: g.frames.clone(),
-                    })
-                    .collect();
                 if start_cycle > 0 {
                     let mut m = lock(&self.shared.metrics);
                     m.groups_resumed += 1;
@@ -312,14 +301,62 @@ impl Controller {
                     m.max_resume_cycle = m.max_resume_cycle.max(start_cycle);
                 }
 
+                // Dispatch barrier: all K `RunPart` frames are on their
+                // sockets before any session thread exists to relay a
+                // `Boundary`. A worker discards boundaries that reach it
+                // ahead of its own `RunPart`, and a part that lost its
+                // peer's cycle-0 export waits for it forever. Every part
+                // encodes from the one group block; nothing is cloned.
+                let dispatched: Vec<bool> = {
+                    let images = lock(&ck);
+                    let mut writer = FrameWriter::default();
+                    (0..plan.k)
+                        .map(|p| {
+                            let dispatch = PartDispatchRef {
+                                batch: desc.batch,
+                                group: g.group,
+                                part: p as u32,
+                                k: plan.k as u32,
+                                epoch,
+                                tid0: g.tid0,
+                                len: g.len,
+                                start_cycle,
+                                resume_image: if start_cycle > 0 {
+                                    &images[p][&start_cycle]
+                                } else {
+                                    &[]
+                                },
+                                frames: &g.frames,
+                            };
+                            match writer.write(&mut conns[p].stream, &dispatch) {
+                                Ok(bytes) => {
+                                    self.count_tx(&conns[p], bytes);
+                                    lock(&self.shared.metrics).dispatches += 1;
+                                    true
+                                }
+                                Err(_) => {
+                                    failed.store(true, Ordering::Release);
+                                    false
+                                }
+                            }
+                        })
+                        .collect()
+                };
+
                 let ends: Vec<SessionEnd> = std::thread::scope(|s| {
                     let handles: Vec<_> = conns
                         .iter_mut()
-                        .zip(dispatches)
+                        .zip(dispatched)
                         .enumerate()
-                        .map(|(p, (conn, d))| {
+                        .map(|(p, (conn, dispatched))| {
                             let ctx = &ctx;
-                            s.spawn(move || self.part_session(p, conn, d, ctx))
+                            s.spawn(move || {
+                                if dispatched {
+                                    self.part_session(p, conn, ctx)
+                                } else {
+                                    SessionEnd::Died { timed_out: false }
+                                }
+                            })
                         })
                         .collect();
                     handles
@@ -400,34 +437,12 @@ impl Controller {
         Ok(digests)
     }
 
-    /// One part's dispatch + relay loop for one epoch. Reads the part's
-    /// socket, fans its boundary exports out to importers, stores its
-    /// checkpoints, and returns its validated result.
-    fn part_session(
-        &self,
-        p: usize,
-        conn: &mut WorkerConn,
-        d: PartDispatch,
-        ctx: &GroupCtx<'_>,
-    ) -> SessionEnd {
+    /// One already-dispatched part's relay loop for one epoch. Reads the
+    /// part's socket, fans its boundary exports out to importers, stores
+    /// its checkpoints, and returns its validated result.
+    fn part_session(&self, p: usize, conn: &mut WorkerConn, ctx: &GroupCtx<'_>) -> SessionEnd {
         let started = Instant::now();
-        let frame = Frame::RunPart(d);
-        {
-            let mut w = lock(&ctx.writers[p]);
-            match write_frame(&mut *w, &frame) {
-                Ok(bytes) => {
-                    self.count_tx(conn, bytes);
-                    lock(&self.shared.metrics).dispatches += 1;
-                }
-                Err(_) => {
-                    ctx.failed.store(true, Ordering::Release);
-                    return SessionEnd::Died { timed_out: false };
-                }
-            }
-        }
-        let Frame::RunPart(d) = frame else {
-            unreachable!("built as RunPart above")
-        };
+        let (batch, group, epoch, part) = (ctx.desc.batch, ctx.group, ctx.epoch, p as u32);
         let expect_outputs = ctx.plan.out_positions[p].len() * ctx.len;
 
         loop {
@@ -439,10 +454,10 @@ impl Controller {
                     }
                     match frame {
                         Frame::Boundary(b)
-                            if b.batch == d.batch
-                                && b.group == d.group
-                                && b.epoch == d.epoch
-                                && b.part == d.part =>
+                            if b.batch == batch
+                                && b.group == group
+                                && b.epoch == epoch
+                                && b.part == part =>
                         {
                             {
                                 let mut m = lock(&self.shared.metrics);
@@ -457,10 +472,10 @@ impl Controller {
                             }
                         }
                         Frame::PartCheckpoint(u)
-                            if u.batch == d.batch
-                                && u.group == d.group
-                                && u.part == d.part
-                                && u.epoch == d.epoch
+                            if u.batch == batch
+                                && u.group == group
+                                && u.part == part
+                                && u.epoch == epoch
                                 && u.tid0 == ctx.tid0
                                 && u.cycle > 0
                                 && u.cycle < ctx.desc.cycles
@@ -473,12 +488,12 @@ impl Controller {
                             m.checkpoint_bytes += image_len;
                         }
                         Frame::PartDone(r) => {
-                            if r.epoch != d.epoch {
+                            if r.epoch != epoch {
                                 continue; // stale epoch: drained later
                             }
-                            if r.batch == d.batch
-                                && r.group == d.group
-                                && r.part == d.part
+                            if r.batch == batch
+                                && r.group == group
+                                && r.part == part
                                 && r.tid0 == ctx.tid0
                                 && r.outputs.len() == expect_outputs
                             {

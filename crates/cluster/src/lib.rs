@@ -52,11 +52,23 @@
 //! remote inputs; a partition-replica death rolls every part back to the
 //! deepest common checkpoint cycle and re-dispatches under a bumped
 //! epoch, preserving bit-identical digests.
+//!
+//! # Dispatch cost (wire v4)
+//!
+//! Getting stimulus to the evaluator is the paper's bottleneck (§2.4.3),
+//! so the dispatch path sleeps nowhere, copies nothing twice and ships
+//! nothing wider than it is: a worker's reply goes out the moment its
+//! group finishes (the compute-time heartbeat ticker waits on a
+//! [`StopFlag`], woken on completion), every `u64` array travels at the
+//! narrowest power-of-two width that holds its elements, and a dispatch
+//! is encoded by reference from the batch's frame block into a buffer
+//! its connection reuses. See [`wire`] for the encoding and its bounds.
 
 pub mod chaos;
 pub mod controller;
 pub mod error;
 pub mod metrics;
+pub mod stop;
 pub mod wire;
 pub mod worker;
 
@@ -64,8 +76,9 @@ pub use chaos::ChaosPlan;
 pub use controller::{ClusterConfig, ClusterJobResult, Controller};
 pub use error::ClusterError;
 pub use metrics::{ClusterMetrics, WorkerReport};
+pub use stop::StopFlag;
 pub use wire::{
     BoundaryFrame, CheckpointUpdate, Frame, PartCheckpointUpdate, PartDispatch, PartResult,
     WireError, MAX_PAYLOAD, VERSION,
 };
-pub use worker::{run_worker, spawn_worker, FaultMode, WorkerConfig, WorkerFault};
+pub use worker::{run_worker, spawn_worker, FaultMode, GroupFault, WorkerConfig, WorkerFault};

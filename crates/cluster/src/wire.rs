@@ -6,12 +6,28 @@
 //! magic "RFLC" | version u16 | kind u8 | payload_len u32 | payload bytes
 //! ```
 //!
-//! All integers are little-endian. Strings are `u32 length + UTF-8`;
-//! `u64` arrays are `u32 count + data`. Decoding is total: any truncated,
-//! corrupted, oversized, or unknown input yields a [`WireError`] — never
-//! a panic — because a malformed remote payload must not take down a
-//! worker or the controller. Payloads are capped at [`MAX_PAYLOAD`] so a
-//! corrupted length prefix cannot trigger a giant allocation.
+//! All integers are little-endian. Strings are `u32 length + UTF-8`.
+//! A `u64` array travels at its real width (v4):
+//!
+//! ```text
+//! count u32 | width u8 | ceil(count / (64 / width)) packed u64 words
+//! ```
+//!
+//! `width` is the narrowest of 1/2/4/8/16/32/64 bits that holds the OR
+//! of the elements, so the encoding needs no port map; element `i` sits
+//! in word `i / (64 / width)` at bit `(i % (64 / width)) * width`, and
+//! the unused high bits of the last word are zero. A design whose input
+//! ports are all one bit wide therefore ships one bit per lane-cycle,
+//! not eight bytes.
+//!
+//! Decoding is total: any truncated, corrupted, oversized, or unknown
+//! input yields a [`WireError`] — never a panic — because a malformed
+//! remote payload must not take down a worker or the controller. Two
+//! bounds hold on both ends: a payload is at most [`MAX_PAYLOAD`] bytes
+//! on the wire, and at most [`MAX_PAYLOAD`] bytes once its array is
+//! unpacked to eight bytes an element. Both are checked before any
+//! allocation sized from the wire, so neither a corrupted length prefix
+//! nor a narrow array with a huge count can trigger a giant allocation.
 //!
 //! The protocol is deliberately value-oriented: stimulus travel as
 //! *materialized frame slices* (a pure function of `(stimulus, cycle)`
@@ -28,11 +44,16 @@ pub const MAGIC: [u8; 4] = *b"RFLC";
 /// resume fields on [`GroupDispatch`]. v3 added model-parallel
 /// co-simulation: `RunPart`, `Boundary`, `PartDone`, `PartAbort` and
 /// `PartCheckpoint`. A v2 decoder rejects every v3 frame with a
-/// structured `BadVersion` error before looking at the kind byte.
-pub const VERSION: u16 = 3;
-/// Upper bound on a frame payload (256 MiB). A corrupted length prefix
-/// beyond this is rejected before any allocation happens.
+/// structured `BadVersion` error before looking at the kind byte. v4
+/// carries every `u64` array packed at its width class; a v3 decoder
+/// rejects it the same way.
+pub const VERSION: u16 = 4;
+/// Upper bound on a frame payload (256 MiB), on the wire and unpacked.
+/// A length prefix or an array count beyond this is rejected before any
+/// allocation happens.
 pub const MAX_PAYLOAD: u32 = 256 << 20;
+/// Header bytes in front of every payload.
+const HEADER: usize = 11;
 
 /// Why a frame could not be read or decoded.
 #[derive(Debug)]
@@ -47,9 +68,10 @@ pub enum WireError {
     BadVersion(u16),
     /// Unrecognized frame kind byte.
     UnknownKind(u8),
-    /// Payload length exceeds [`MAX_PAYLOAD`] (on decode: a corrupted
-    /// length prefix; on encode: a frame too big to represent on the
-    /// wire, caught before any peer can misparse it).
+    /// Payload size, on the wire or unpacked, exceeds [`MAX_PAYLOAD`]
+    /// (on decode: a corrupted length prefix or array count; on encode:
+    /// a frame too big for a peer to hold, caught before any byte of it
+    /// is written).
     TooLarge(u64),
     /// Structurally invalid payload (bad UTF-8, inconsistent counts…).
     Malformed(String),
@@ -299,7 +321,112 @@ const KIND_PART_DONE: u8 = 13;
 const KIND_PART_ABORT: u8 = 14;
 const KIND_PART_CHECKPOINT: u8 = 15;
 
-impl Frame {
+impl GroupDispatch {
+    pub(crate) fn as_ref(&self) -> GroupDispatchRef<'_> {
+        GroupDispatchRef {
+            batch: self.batch,
+            group: self.group,
+            tid0: self.tid0,
+            len: self.len,
+            frames: &self.frames,
+            resume_cycle: self.resume_cycle,
+            resume_image: &self.resume_image,
+        }
+    }
+}
+
+/// A [`GroupDispatch`] over borrowed frames and resume image: the
+/// controller encodes each `RunGroup` straight from the batch's group
+/// block and its checkpoint cache, cloning neither.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupDispatchRef<'a> {
+    pub batch: u64,
+    pub group: u32,
+    pub tid0: u64,
+    pub len: u32,
+    pub frames: &'a [u64],
+    pub resume_cycle: u64,
+    pub resume_image: &'a [u8],
+}
+
+impl Encode for GroupDispatchRef<'_> {
+    fn kind(&self) -> u8 {
+        KIND_RUN_GROUP
+    }
+
+    fn put(&self, e: &mut Enc<'_>) -> Result<(), WireError> {
+        e.u64(self.batch);
+        e.u32(self.group);
+        e.u64(self.tid0);
+        e.u32(self.len);
+        e.u64s(self.frames)?;
+        e.u64(self.resume_cycle);
+        e.bytes(self.resume_image);
+        Ok(())
+    }
+}
+
+impl PartDispatch {
+    fn as_ref(&self) -> PartDispatchRef<'_> {
+        PartDispatchRef {
+            batch: self.batch,
+            group: self.group,
+            part: self.part,
+            k: self.k,
+            epoch: self.epoch,
+            tid0: self.tid0,
+            len: self.len,
+            start_cycle: self.start_cycle,
+            resume_image: &self.resume_image,
+            frames: &self.frames,
+        }
+    }
+}
+
+/// A [`PartDispatch`] over borrowed frames and resume image: the K parts
+/// of a model-parallel group all encode from the one group block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PartDispatchRef<'a> {
+    pub batch: u64,
+    pub group: u32,
+    pub part: u32,
+    pub k: u32,
+    pub epoch: u32,
+    pub tid0: u64,
+    pub len: u32,
+    pub start_cycle: u64,
+    pub resume_image: &'a [u8],
+    pub frames: &'a [u64],
+}
+
+impl Encode for PartDispatchRef<'_> {
+    fn kind(&self) -> u8 {
+        KIND_RUN_PART
+    }
+
+    fn put(&self, e: &mut Enc<'_>) -> Result<(), WireError> {
+        e.u64(self.batch);
+        e.u32(self.group);
+        e.u32(self.part);
+        e.u32(self.k);
+        e.u32(self.epoch);
+        e.u64(self.tid0);
+        e.u32(self.len);
+        e.u64(self.start_cycle);
+        e.bytes(self.resume_image);
+        e.u64s(self.frames)
+    }
+}
+
+/// Something that goes on the wire as one frame: an owned [`Frame`], or
+/// a dispatch assembled from borrowed parts.
+pub(crate) trait Encode {
+    fn kind(&self) -> u8;
+    /// Append the payload fields.
+    fn put(&self, e: &mut Enc<'_>) -> Result<(), WireError>;
+}
+
+impl Encode for Frame {
     fn kind(&self) -> u8 {
         match self {
             Frame::Hello { .. } => KIND_HELLO,
@@ -320,118 +447,97 @@ impl Frame {
         }
     }
 
-    /// Encode into one self-contained frame (header + payload). A frame
-    /// whose payload exceeds [`MAX_PAYLOAD`] is refused here: writing it
-    /// would either be rejected by every receiver (up to 4 GiB) or
-    /// silently truncate the `u32` length prefix and desync the stream
-    /// (beyond 4 GiB).
-    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut payload = Vec::new();
+    fn put(&self, e: &mut Enc<'_>) -> Result<(), WireError> {
         match self {
             Frame::Hello { proto, capacity } => {
-                put_u16(&mut payload, *proto);
-                put_u32(&mut payload, *capacity);
+                e.u16(*proto);
+                e.u32(*capacity);
             }
-            Frame::Welcome { worker_id } => put_u32(&mut payload, *worker_id),
+            Frame::Welcome { worker_id } => e.u32(*worker_id),
             Frame::BatchStart(b) => {
-                put_u64(&mut payload, b.batch);
-                put_u64(&mut payload, b.design_key);
-                put_str(&mut payload, &b.top);
-                put_str(&mut payload, &b.verilog);
-                put_u64(&mut payload, b.cycles);
-                put_u32(&mut payload, b.lanes);
-                put_u64(&mut payload, b.n);
+                e.u64(b.batch);
+                e.u64(b.design_key);
+                e.str(&b.top);
+                e.str(&b.verilog);
+                e.u64(b.cycles);
+                e.u32(b.lanes);
+                e.u64(b.n);
             }
-            Frame::RunGroup(g) => {
-                put_u64(&mut payload, g.batch);
-                put_u32(&mut payload, g.group);
-                put_u64(&mut payload, g.tid0);
-                put_u32(&mut payload, g.len);
-                put_u64s(&mut payload, &g.frames);
-                put_u64(&mut payload, g.resume_cycle);
-                put_bytes(&mut payload, &g.resume_image);
-            }
+            Frame::RunGroup(g) => g.as_ref().put(e)?,
             Frame::Chunk(c) => {
-                put_u64(&mut payload, c.batch);
-                put_u32(&mut payload, c.group);
-                put_u64(&mut payload, c.tid0);
-                put_u64s(&mut payload, &c.digests);
+                e.u64(c.batch);
+                e.u32(c.group);
+                e.u64(c.tid0);
+                e.u64s(&c.digests)?;
             }
-            Frame::Heartbeat { seq } | Frame::HeartbeatAck { seq } => put_u64(&mut payload, *seq),
-            Frame::Error { context } => put_str(&mut payload, context),
+            Frame::Heartbeat { seq } | Frame::HeartbeatAck { seq } => e.u64(*seq),
+            Frame::Error { context } => e.str(context),
             Frame::Goodbye => {}
             Frame::Checkpoint(u) => {
-                put_u64(&mut payload, u.batch);
-                put_u32(&mut payload, u.group);
-                put_u64(&mut payload, u.tid0);
-                put_u64(&mut payload, u.cycle);
-                put_bytes(&mut payload, &u.image);
+                e.u64(u.batch);
+                e.u32(u.group);
+                e.u64(u.tid0);
+                e.u64(u.cycle);
+                e.bytes(&u.image);
             }
-            Frame::RunPart(p) => {
-                put_u64(&mut payload, p.batch);
-                put_u32(&mut payload, p.group);
-                put_u32(&mut payload, p.part);
-                put_u32(&mut payload, p.k);
-                put_u32(&mut payload, p.epoch);
-                put_u64(&mut payload, p.tid0);
-                put_u32(&mut payload, p.len);
-                put_u64(&mut payload, p.start_cycle);
-                put_bytes(&mut payload, &p.resume_image);
-                put_u64s(&mut payload, &p.frames);
-            }
+            Frame::RunPart(p) => p.as_ref().put(e)?,
             Frame::Boundary(b) => {
-                put_u64(&mut payload, b.batch);
-                put_u32(&mut payload, b.group);
-                put_u32(&mut payload, b.part);
-                put_u32(&mut payload, b.epoch);
-                put_u64(&mut payload, b.cycle);
-                put_bytes(&mut payload, &b.payload);
+                e.u64(b.batch);
+                e.u32(b.group);
+                e.u32(b.part);
+                e.u32(b.epoch);
+                e.u64(b.cycle);
+                e.bytes(&b.payload);
             }
             Frame::PartDone(r) => {
-                put_u64(&mut payload, r.batch);
-                put_u32(&mut payload, r.group);
-                put_u32(&mut payload, r.part);
-                put_u32(&mut payload, r.epoch);
-                put_u64(&mut payload, r.tid0);
-                put_u64s(&mut payload, &r.outputs);
-                put_u64(&mut payload, r.hidden_ns);
-                put_u64(&mut payload, r.stall_ns);
+                e.u64(r.batch);
+                e.u32(r.group);
+                e.u32(r.part);
+                e.u32(r.epoch);
+                e.u64(r.tid0);
+                e.u64s(&r.outputs)?;
+                e.u64(r.hidden_ns);
+                e.u64(r.stall_ns);
             }
             Frame::PartAbort {
                 batch,
                 group,
                 epoch,
             } => {
-                put_u64(&mut payload, *batch);
-                put_u32(&mut payload, *group);
-                put_u32(&mut payload, *epoch);
+                e.u64(*batch);
+                e.u32(*group);
+                e.u32(*epoch);
             }
             Frame::PartCheckpoint(u) => {
-                put_u64(&mut payload, u.batch);
-                put_u32(&mut payload, u.group);
-                put_u32(&mut payload, u.part);
-                put_u32(&mut payload, u.epoch);
-                put_u64(&mut payload, u.tid0);
-                put_u64(&mut payload, u.cycle);
-                put_bytes(&mut payload, &u.image);
+                e.u64(u.batch);
+                e.u32(u.group);
+                e.u32(u.part);
+                e.u32(u.epoch);
+                e.u64(u.tid0);
+                e.u64(u.cycle);
+                e.bytes(&u.image);
             }
         }
-        if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
-            return Err(WireError::TooLarge(payload.len() as u64));
-        }
-        let mut out = Vec::with_capacity(11 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        Ok(())
+    }
+}
+
+impl Frame {
+    /// Encode into one self-contained frame (header + payload). A frame
+    /// whose payload exceeds [`MAX_PAYLOAD`] — on the wire, or once its
+    /// array is unpacked — is refused here: every receiver would reject
+    /// it anyway, and past 4 GiB the `u32` length prefix would silently
+    /// truncate and desync the stream.
+    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        let mut out = Vec::new();
+        encode_into(&mut out, self)?;
         Ok(out)
     }
 
     /// Decode one frame from the front of `data`; returns the frame and
     /// the number of bytes consumed. Never panics on any input.
     pub fn decode(data: &[u8]) -> Result<(Frame, usize), WireError> {
-        if data.len() < 11 {
+        if data.len() < HEADER {
             return Err(WireError::Truncated { context: "header" });
         }
         if data[0..4] != MAGIC {
@@ -447,11 +553,56 @@ impl Frame {
             return Err(WireError::TooLarge(u64::from(plen)));
         }
         let plen = plen as usize;
-        if data.len() < 11 + plen {
+        if data.len() < HEADER + plen {
             return Err(WireError::Truncated { context: "payload" });
         }
-        let frame = decode_payload(kind, &data[11..11 + plen])?;
-        Ok((frame, 11 + plen))
+        let frame = decode_payload(kind, &data[HEADER..HEADER + plen])?;
+        Ok((frame, HEADER + plen))
+    }
+}
+
+/// Build one frame in `out` (cleared first): the header, then the
+/// payload `frame` appends, written in place so it is never copied into
+/// a second buffer. On `Err`, `out` holds a partial frame and must not
+/// be sent.
+fn encode_into(out: &mut Vec<u8>, frame: &impl Encode) -> Result<(), WireError> {
+    out.clear();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.push(frame.kind());
+    out.extend_from_slice(&[0u8; 4]);
+    let mut e = Enc { out, slack: 0 };
+    frame.put(&mut e)?;
+    let unpacked = e.unpacked();
+    if unpacked > u64::from(MAX_PAYLOAD) {
+        return Err(WireError::TooLarge(unpacked));
+    }
+    // `unpacked` bounds the payload from above, so it fits the prefix.
+    let plen = (out.len() - HEADER) as u32;
+    out[7..HEADER].copy_from_slice(&plen.to_le_bytes());
+    Ok(())
+}
+
+/// Encodes frames into one reused buffer and puts each on the stream
+/// with a single `write_all`: a connection that dispatches group after
+/// group allocates once, and `TCP_NODELAY` sees one write per frame.
+#[derive(Default)]
+pub(crate) struct FrameWriter {
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// [`write_frame`] through the reused buffer; returns the bytes
+    /// written.
+    pub(crate) fn write(
+        &mut self,
+        w: &mut impl Write,
+        frame: &impl Encode,
+    ) -> Result<usize, WireError> {
+        encode_into(&mut self.buf, frame)?;
+        w.write_all(&self.buf)?;
+        w.flush()?;
+        Ok(self.buf.len())
     }
 }
 
@@ -564,17 +715,14 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
 /// large for the wire format is refused with [`WireError::TooLarge`]
 /// before any byte is written, so the stream never desyncs.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError> {
-    let bytes = frame.encode()?;
-    w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(bytes.len())
+    FrameWriter::default().write(w, frame)
 }
 
 /// Read one frame from a stream; returns the frame and its wire size.
 /// An EOF before the first header byte is reported as `Truncated`, any
 /// later short read as the underlying i/o error.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
-    let mut header = [0u8; 11];
+    let mut header = [0u8; HEADER];
     r.read_exact(&mut header).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Truncated { context: "header" }
@@ -604,39 +752,116 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
         }
     })?;
     let frame = decode_payload(header[6], &payload)?;
-    Ok((frame, 11 + plen as usize))
+    Ok((frame, HEADER + plen as usize))
 }
 
 // --------------------------------------------------------------------------
 // Little-endian field encoding.
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Bits per element an array of the given OR travels at: the narrowest
+/// of 1/2/4/8/16/32/64 that holds every set bit.
+fn width_class(or: u64) -> u32 {
+    (64 - or.leading_zeros()).max(1).next_power_of_two()
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Bytes `count` elements occupy packed at `width` bits (whole words).
+fn packed_bytes(count: u64, width: u32) -> u64 {
+    count.div_ceil(u64::from(64 / width)) * 8
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
-    put_u32(out, vs.len() as u32);
-    for &v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Pack `vs`, no element wider than `W` bits, into little-endian words.
+fn pack<const W: u32>(vs: &[u64], out: &mut [u8]) {
+    let word = |chunk: &[u64]| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (j, &v)| w | v << (j as u32 * W))
+    };
+    let mut src = vs.chunks_exact((64 / W) as usize);
+    let mut dst = out.chunks_exact_mut(8);
+    // `src` leads the zip so a short tail leaves its `dst` word unconsumed.
+    for (chunk, d) in (&mut src).zip(&mut dst) {
+        d.copy_from_slice(&word(chunk).to_le_bytes());
+    }
+    if let Some(d) = dst.next() {
+        d.copy_from_slice(&word(src.remainder()).to_le_bytes());
     }
 }
 
-fn put_bytes(out: &mut Vec<u8>, bs: &[u8]) {
-    put_u32(out, bs.len() as u32);
-    out.extend_from_slice(bs);
+/// Inverse of [`pack`]; `src` holds exactly the words `out` needs.
+fn unpack<const W: u32>(src: &[u8], out: &mut [u64]) {
+    let mask = u64::MAX >> (64 - W);
+    for (chunk, wb) in out.chunks_mut((64 / W) as usize).zip(src.chunks_exact(8)) {
+        let word = u64::from_le_bytes(wb.try_into().expect("chunks_exact(8)"));
+        for (j, v) in chunk.iter_mut().enumerate() {
+            *v = (word >> (j as u32 * W)) & mask;
+        }
+    }
+}
+
+/// The payload under construction, directly behind the header in the
+/// output buffer.
+pub(crate) struct Enc<'a> {
+    out: &'a mut Vec<u8>,
+    /// Bytes the arrays written so far will grow by when unpacked.
+    slack: u64,
+}
+
+impl Enc<'_> {
+    /// Size of the payload so far once its arrays are unpacked to eight
+    /// bytes an element — what it costs a receiver to hold.
+    fn unpacked(&self) -> u64 {
+        (self.out.len() - HEADER) as u64 + self.slack
+    }
+
+    fn u16(&mut self, v: u16) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    fn bytes(&mut self, bs: &[u8]) {
+        self.u32(bs.len() as u32);
+        self.out.extend_from_slice(bs);
+    }
+
+    /// Refuses an array that would push the unpacked payload past
+    /// [`MAX_PAYLOAD`] before packing a single word of it.
+    fn u64s(&mut self, vs: &[u64]) -> Result<(), WireError> {
+        let raw = vs.len() as u64 * 8;
+        let unpacked = self.unpacked() + raw;
+        if unpacked > u64::from(MAX_PAYLOAD) {
+            return Err(WireError::TooLarge(unpacked));
+        }
+        let width = width_class(vs.iter().fold(0, |or, &v| or | v));
+        let packed = packed_bytes(vs.len() as u64, width);
+        self.u32(vs.len() as u32);
+        self.out.push(width as u8);
+        let at = self.out.len();
+        self.out.resize(at + packed as usize, 0);
+        let out = &mut self.out[at..];
+        match width {
+            1 => pack::<1>(vs, out),
+            2 => pack::<2>(vs, out),
+            4 => pack::<4>(vs, out),
+            8 => pack::<8>(vs, out),
+            16 => pack::<16>(vs, out),
+            32 => pack::<32>(vs, out),
+            _ => pack::<64>(vs, out),
+        }
+        self.slack += raw - packed;
+        Ok(())
+    }
 }
 
 struct Cursor<'a> {
@@ -652,6 +877,10 @@ impl<'a> Cursor<'a> {
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
@@ -675,14 +904,46 @@ impl<'a> Cursor<'a> {
 
     fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
         let count = self.u32()? as usize;
-        // A corrupted count must fail on the honest length check, not
-        // attempt a huge up-front allocation.
-        if self.data.len() - self.pos < count.saturating_mul(8) {
-            return Err(WireError::Truncated {
-                context: "u64 array",
-            });
+        let width = u32::from(self.u8()?);
+        if !matches!(width, 1 | 2 | 4 | 8 | 16 | 32 | 64) {
+            return Err(WireError::Malformed(format!(
+                "array width class {width} is not one of 1/2/4/8/16/32/64"
+            )));
         }
-        (0..count).map(|_| self.u64()).collect()
+        // Both checks run before the allocation below, which is sized
+        // from the (possibly corrupted) count: the payload with this
+        // array unpacked must fit the cap, and the packed words the
+        // count promises must really be there.
+        let raw = count as u64 * 8;
+        let packed = packed_bytes(count as u64, width);
+        let unpacked = (self.data.len() as u64).saturating_sub(packed) + raw;
+        if unpacked > u64::from(MAX_PAYLOAD) {
+            return Err(WireError::TooLarge(unpacked));
+        }
+        // The cap above keeps `packed` within `usize` on any target.
+        let src = self.take(packed as usize)?;
+        let mut out = vec![0u64; count];
+        match width {
+            1 => unpack::<1>(src, &mut out),
+            2 => unpack::<2>(src, &mut out),
+            4 => unpack::<4>(src, &mut out),
+            8 => unpack::<8>(src, &mut out),
+            16 => unpack::<16>(src, &mut out),
+            32 => unpack::<32>(src, &mut out),
+            _ => unpack::<64>(src, &mut out),
+        }
+        // A short last word must be zero above its elements, so every
+        // array has exactly one encoding at its class.
+        let tail = count % (64 / width) as usize;
+        if tail != 0 {
+            let last = u64::from_le_bytes(src[src.len() - 8..].try_into().unwrap());
+            if last >> (tail as u32 * width) != 0 {
+                return Err(WireError::Malformed(
+                    "non-zero padding bits after a packed array".into(),
+                ));
+            }
+        }
+        Ok(out)
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
@@ -697,6 +958,23 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
     use stimulus::splitmix64;
+
+    /// The low `bits` bits set (`bits` in 0..=64).
+    fn mask(bits: u32) -> u64 {
+        u64::MAX.checked_shr(64 - bits).unwrap_or(0)
+    }
+
+    fn chunk_of(digests: Vec<u64>) -> Frame {
+        Frame::Chunk(ResultChunk {
+            batch: 1,
+            group: 2,
+            tid0: 3,
+            digests,
+        })
+    }
+
+    /// Where a `Chunk`'s array starts: header + batch + group + tid0.
+    const CHUNK_ARRAY_AT: usize = HEADER + 8 + 4 + 8;
 
     /// Deterministic generator for the property tests.
     struct Gen(u64);
@@ -718,9 +996,12 @@ mod tests {
                 .collect()
         }
 
+        /// Elements of a random bit width 0..=64, so the arrays of the
+        /// generated frames land in every width class.
         fn u64s(&mut self, max: usize) -> Vec<u64> {
             let len = self.below(max as u64) as usize;
-            (0..len).map(|_| self.next()).collect()
+            let bits = self.below(65) as u32;
+            (0..len).map(|_| self.next() & mask(bits)).collect()
         }
 
         fn bytes(&mut self, max: usize) -> Vec<u8> {
@@ -920,43 +1201,176 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn oversized_payload_is_refused_at_encode_time() {
-        // One u64 past the cap: the sender must refuse, because every
-        // receiver would reject the frame as TooLarge anyway.
-        let frame = Frame::RunGroup(GroupDispatch {
+    /// A `RunGroup` of `words` frame words, all zero but the first. The
+    /// zeros are never written, so even a cap-sized block costs no memory.
+    fn big_group(words: usize, first: u64) -> Frame {
+        let mut frames = vec![0u64; words];
+        frames[0] = first;
+        Frame::RunGroup(GroupDispatch {
             batch: 1,
             group: 0,
             tid0: 0,
             len: 1,
-            frames: vec![0u64; MAX_PAYLOAD as usize / 8],
+            frames,
             resume_cycle: 0,
             resume_image: Vec::new(),
-        });
+        })
+    }
+
+    fn assert_refused_before_any_byte(frame: &Frame) {
         assert!(matches!(frame.encode(), Err(WireError::TooLarge(_))));
         let mut sink = Vec::new();
         assert!(
-            matches!(write_frame(&mut sink, &frame), Err(WireError::TooLarge(_))),
+            matches!(write_frame(&mut sink, frame), Err(WireError::TooLarge(_))),
             "write_frame must refuse before touching the stream"
         );
         assert!(sink.is_empty(), "no bytes may reach the wire");
     }
 
     #[test]
+    fn oversized_payload_is_refused_at_encode_time() {
+        // Full-width words, one u64 past the cap with the fixed fields:
+        // the sender must refuse, because every receiver would reject
+        // the frame as TooLarge anyway.
+        assert_refused_before_any_byte(&big_group(MAX_PAYLOAD as usize / 8, u64::MAX));
+    }
+
+    #[test]
+    fn oversized_unpacked_payload_is_refused_at_encode_time() {
+        // The same block at one bit an element packs to 4 MiB, far under
+        // the cap on the wire — but the receiver would have to unpack it
+        // to 256 MiB, so the cap bounds that size too.
+        assert_refused_before_any_byte(&big_group(MAX_PAYLOAD as usize / 8, 1));
+        // Just inside the cap it goes out, and at its packed size.
+        let words = MAX_PAYLOAD as usize / 8 - 64;
+        let bytes = big_group(words, 1).encode().unwrap();
+        assert!(bytes.len() < words / 8 + 64, "{} bytes", bytes.len());
+    }
+
+    #[test]
     fn corrupted_array_count_is_rejected_without_allocation() {
-        let frame = Frame::Chunk(ResultChunk {
-            batch: 1,
-            group: 2,
-            tid0: 3,
-            digests: vec![4, 5, 6],
-        });
-        let mut bytes = frame.encode().unwrap();
-        // The digest count lives right after batch(8)+group(4)+tid0(8).
-        let count_at = 11 + 8 + 4 + 8;
+        let mut bytes = chunk_of(vec![4, 5, 6]).encode().unwrap();
+        let count_at = CHUNK_ARRAY_AT;
         bytes[count_at..count_at + 4].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
         assert!(matches!(
             Frame::decode(&bytes),
             Err(WireError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn narrow_array_with_a_huge_count_is_refused_without_allocation() {
+        // One bit an element makes a huge count cheap to claim: 2^31
+        // elements are 256 MiB packed but 16 GiB unpacked. The unpacked
+        // bound refuses the count itself, whatever bytes follow it.
+        let mut bytes = chunk_of(vec![1, 0, 1]).encode().unwrap();
+        assert_eq!(bytes[CHUNK_ARRAY_AT + 4], 1, "a one-bit array");
+        for count in [u32::MAX, 1 << 31, MAX_PAYLOAD / 8 + 1] {
+            bytes[CHUNK_ARRAY_AT..CHUNK_ARRAY_AT + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                matches!(Frame::decode(&bytes), Err(WireError::TooLarge(_))),
+                "count {count}"
+            );
+            assert!(matches!(
+                read_frame(&mut &bytes[..]),
+                Err(WireError::TooLarge(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn arrays_roundtrip_at_every_width_class() {
+        let mut g = Gen(0x71d7_4c1a);
+        for bits in 0..=64u32 {
+            let width = bits.max(1).next_power_of_two();
+            let per = (64 / width) as usize;
+            // Empty, shorter than a word, and every side of a word edge.
+            for len in [0, 1, 2, 3, per - 1, per, per + 1, 3 * per - 1, 3 * per, 130] {
+                let mut digests: Vec<u64> = (0..len).map(|_| g.next() & mask(bits)).collect();
+                if let Some(last) = digests.last_mut() {
+                    // Pin the class: the top bit of the width is in use
+                    // (bit 63 itself when bits = 64).
+                    *last |= mask(bits) ^ mask(bits.saturating_sub(1));
+                }
+                let frame = chunk_of(digests);
+                let bytes = frame.encode().unwrap();
+                let class = if len == 0 { 1 } else { width };
+                assert_eq!(u32::from(bytes[CHUNK_ARRAY_AT + 4]), class, "bits {bits}");
+                let words = len.div_ceil((64 / class) as usize);
+                assert_eq!(
+                    bytes.len(),
+                    CHUNK_ARRAY_AT + 4 + 1 + words * 8,
+                    "{len} elements of {bits} bits"
+                );
+                let (back, used) = Frame::decode(&bytes).unwrap();
+                assert_eq!(used, bytes.len());
+                assert_eq!(back, frame, "{len} elements of {bits} bits");
+            }
+        }
+    }
+
+    #[test]
+    fn one_bit_dispatch_travels_at_one_bit_per_lane_cycle() {
+        // The benchmark's wire_bound job: 2048 stimulus × 16 cycles ×
+        // 8 one-bit lanes. 2 MiB of frame words, 32 KiB on the wire.
+        let mut g = Gen(0xb17);
+        let frames: Vec<u64> = (0..2048 * 16 * 8).map(|_| g.next() & 1).collect();
+        let frame = Frame::RunGroup(GroupDispatch {
+            batch: 1,
+            group: 0,
+            tid0: 0,
+            len: 2048,
+            frames,
+            resume_cycle: 0,
+            resume_image: Vec::new(),
+        });
+        let bytes = frame.encode().unwrap();
+        let fixed = HEADER + (8 + 4 + 8 + 4) + (4 + 1) + 8 + 4;
+        assert_eq!(bytes.len(), fixed + 2048 * 16 * 8 / 8);
+        assert!(bytes.len() <= 33 << 10);
+        assert_eq!(Frame::decode(&bytes).unwrap().0, frame);
+    }
+
+    #[test]
+    fn malformed_packed_arrays_error_specifically() {
+        // Five 4-bit elements: one word, its top 44 bits padding.
+        let good = chunk_of(vec![9, 1, 2, 3, 4]).encode().unwrap();
+        let class_at = CHUNK_ARRAY_AT + 4;
+        assert_eq!(good[class_at], 4);
+        assert_eq!(good.len(), class_at + 1 + 8);
+
+        for class in [0u8, 3, 5, 12, 63, 65, 128, 255] {
+            let mut bad = good.clone();
+            bad[class_at] = class;
+            assert!(
+                matches!(Frame::decode(&bad), Err(WireError::Malformed(_))),
+                "class {class} is not a width"
+            );
+        }
+
+        // A set bit in the padding: the array would have two encodings.
+        for bit in [5 * 4, 63] {
+            let mut bad = good.clone();
+            bad[class_at + 1 + bit / 8] |= 1 << (bit % 8);
+            assert!(
+                matches!(Frame::decode(&bad), Err(WireError::Malformed(_))),
+                "padding bit {bit}"
+            );
+        }
+
+        // A class the words do not match: too few words is a truncation,
+        // too many leaves trailing bytes.
+        let mut wider = good.clone();
+        wider[class_at] = 64;
+        assert!(matches!(
+            Frame::decode(&wider),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut narrower = chunk_of(vec![u64::MAX; 5]).encode().unwrap();
+        narrower[class_at] = 4;
+        assert!(matches!(
+            Frame::decode(&narrower),
+            Err(WireError::Malformed(_))
         ));
     }
 
@@ -1056,11 +1470,29 @@ mod tests {
     }
 
     #[test]
+    fn v3_decoder_rejects_v4_frames_with_a_structured_error() {
+        // Same gate, one version on: v4 changed how arrays are laid out
+        // under kinds v3 already knew, so a v3 peer that got as far as
+        // the payload would misread it. It never does — the header
+        // version stops it first. Simulated by the converse, as above.
+        let mut bytes = chunk_of(vec![1, 0, 1, 1]).encode().unwrap();
+        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(
+            Frame::decode(&bytes),
+            Err(WireError::BadVersion(3))
+        ));
+        assert!(matches!(
+            read_frame(&mut &bytes[..]),
+            Err(WireError::BadVersion(3))
+        ));
+    }
+
+    #[test]
     fn trailing_garbage_in_payload_is_malformed() {
         let mut bytes = Frame::Heartbeat { seq: 9 }.encode().unwrap();
         // Grow the payload by one byte and fix up the length prefix.
         bytes.push(0);
-        let plen = (bytes.len() - 11) as u32;
+        let plen = (bytes.len() - HEADER) as u32;
         bytes[7..11].copy_from_slice(&plen.to_le_bytes());
         assert!(matches!(
             Frame::decode(&bytes),

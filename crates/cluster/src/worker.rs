@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -29,6 +29,7 @@ use stimulus::PortMap;
 use transpile::KernelProgram;
 
 use crate::error::ClusterError;
+use crate::stop::StopFlag;
 use crate::wire::{
     read_frame, write_frame, BatchDescriptor, BoundaryFrame, CheckpointUpdate, Frame,
     PartCheckpointUpdate, PartDispatch, PartResult, ResultChunk, VERSION,
@@ -77,6 +78,40 @@ impl WorkerFault {
     }
 }
 
+/// A one-shot fault addressed to a *group* instead of to one worker's
+/// pickup count. Clones share the trigger, so hand the same value to
+/// every in-process worker: whichever of them picks `group` up first
+/// dies, exactly once. Every group is picked up by somebody, so the
+/// fault lands however the groups end up spread over the workers — a
+/// pickup-count fault is lost when faster peers steal the victim's queue
+/// before it gets that far.
+#[derive(Debug, Clone)]
+pub struct GroupFault {
+    /// Group index within the batch.
+    pub group: u32,
+    pub mode: FaultMode,
+    /// As [`WorkerFault::mid_cycle`].
+    pub mid_cycle: Option<u64>,
+    armed: Arc<AtomicBool>,
+}
+
+impl GroupFault {
+    pub fn new(group: u32, mode: FaultMode, mid_cycle: Option<u64>) -> Self {
+        GroupFault {
+            group,
+            mode,
+            mid_cycle,
+            armed: Arc::new(AtomicBool::new(true)),
+        }
+    }
+
+    /// `true` for exactly one caller that picked up the addressed group.
+    fn claim(&self, group: u32) -> bool {
+        // SeqCst: the swap is the whole protocol — one claimant wins.
+        group == self.group && self.armed.swap(false, Ordering::SeqCst)
+    }
+}
+
 /// Worker-side configuration.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
@@ -91,6 +126,9 @@ pub struct WorkerConfig {
     pub tuned: autotune::TunePolicy,
     /// Optional injected fault.
     pub fault: Option<WorkerFault>,
+    /// Injected faults addressed to groups, shared with the other
+    /// in-process workers (see [`GroupFault`]).
+    pub group_faults: Vec<GroupFault>,
     /// How often to emit `Heartbeat` frames while a group computes.
     /// Every frame the controller reads restarts its per-group read
     /// deadline, so this must stay well under the controller's
@@ -111,6 +149,10 @@ pub struct WorkerConfig {
     /// last checkpointed cycle instead of cycle 0. `0` disables
     /// checkpointing.
     pub checkpoint_interval: u64,
+    /// Raise (on a clone kept by the caller) to cut a reconnect back-off
+    /// short and end the worker instead of dialing again. A worker with a
+    /// live connection still ends the usual way, on `Goodbye` or EOF.
+    pub stop: StopFlag,
 }
 
 impl Default for WorkerConfig {
@@ -120,12 +162,14 @@ impl Default for WorkerConfig {
             exec: ExecConfig::default(),
             tuned: autotune::TunePolicy::default(),
             fault: None,
+            group_faults: Vec::new(),
             heartbeat_interval: Duration::from_millis(100),
             reconnect: true,
             backoff_start: Duration::from_millis(10),
             backoff_max: Duration::from_millis(500),
             max_attempts: 8,
             checkpoint_interval: 0,
+            stop: StopFlag::default(),
         }
     }
 }
@@ -153,7 +197,8 @@ pub fn spawn_worker(addr: SocketAddr, cfg: WorkerConfig) -> JoinHandle<Result<()
 }
 
 /// Run a worker until the controller says `Goodbye`, the connection is
-/// lost with reconnects disabled, or every reconnect attempt fails.
+/// lost with reconnects disabled, every reconnect attempt fails, or
+/// [`WorkerConfig::stop`] is raised between connections.
 pub fn run_worker(addr: SocketAddr, mut cfg: WorkerConfig) -> Result<(), ClusterError> {
     // The engine cache outlives connections: a worker that drops and
     // rejoins does not pay elaboration again. Part engines (model-parallel
@@ -161,7 +206,9 @@ pub fn run_worker(addr: SocketAddr, mut cfg: WorkerConfig) -> Result<(), Cluster
     let mut engines: HashMap<u64, Engine> = HashMap::new();
     let mut part_engines: HashMap<(u64, u32, u32), PartEngine> = HashMap::new();
     loop {
-        let stream = connect_with_backoff(addr, &cfg)?;
+        let Some(stream) = connect_with_backoff(addr, &cfg)? else {
+            return Ok(());
+        };
         match serve_connection(stream, &mut cfg, &mut engines, &mut part_engines) {
             ConnectionEnd::Goodbye => return Ok(()),
             ConnectionEnd::Lost => {
@@ -174,7 +221,11 @@ pub fn run_worker(addr: SocketAddr, mut cfg: WorkerConfig) -> Result<(), Cluster
 }
 
 /// Dial the controller with jittered exponential backoff and register.
-fn connect_with_backoff(addr: SocketAddr, cfg: &WorkerConfig) -> Result<TcpStream, ClusterError> {
+/// `Ok(None)` means the stop flag went up first.
+fn connect_with_backoff(
+    addr: SocketAddr,
+    cfg: &WorkerConfig,
+) -> Result<Option<TcpStream>, ClusterError> {
     // Seeded per (port, capacity) so a fleet of identical workers
     // restarting together fans out instead of re-dialing in lockstep,
     // while each individual schedule stays deterministic.
@@ -182,8 +233,13 @@ fn connect_with_backoff(addr: SocketAddr, cfg: &WorkerConfig) -> Result<TcpStrea
     let mut backoff = desim::Backoff::new(cfg.backoff_start, cfg.backoff_max, seed);
     let mut last: Option<std::io::Error> = None;
     for attempt in 0..cfg.max_attempts.max(1) {
-        if attempt > 0 {
-            std::thread::sleep(backoff.next_delay());
+        let delay = if attempt > 0 {
+            backoff.next_delay()
+        } else {
+            Duration::ZERO
+        };
+        if cfg.stop.wait(delay) {
+            return Ok(None);
         }
         match TcpStream::connect(addr) {
             Ok(mut stream) => {
@@ -196,7 +252,7 @@ fn connect_with_backoff(addr: SocketAddr, cfg: &WorkerConfig) -> Result<TcpStrea
                     },
                 )?;
                 match read_frame(&mut stream)? {
-                    (Frame::Welcome { .. }, _) => return Ok(stream),
+                    (Frame::Welcome { .. }, _) => return Ok(Some(stream)),
                     (Frame::Error { context }, _) => {
                         return Err(ClusterError::Protocol(format!(
                             "controller refused registration: {context}"
@@ -247,28 +303,14 @@ fn serve_connection(
                 }
             }
             Frame::RunGroup(g) => {
-                let mut die_mid: Option<(u64, FaultMode)> = None;
-                if let Some(fault) = cfg.fault {
-                    if pickups == fault.after_pickups {
-                        cfg.fault = None; // consumed: rejoin healthy
-                        match fault.mid_cycle {
-                            None => match fault.mode {
-                                FaultMode::Disconnect => return ConnectionEnd::Lost,
-                                FaultMode::Silent => {
-                                    // Stop responding but keep the socket
-                                    // open; drain frames until the controller
-                                    // gives up and closes it.
-                                    while read_frame(&mut stream).is_ok() {}
-                                    return ConnectionEnd::Lost;
-                                }
-                            },
-                            // Die mid-group instead: run the group's
-                            // first cycles (emitting due checkpoints),
-                            // then crash without replying.
-                            Some(cycle) => die_mid = Some((cycle, fault.mode)),
-                        }
-                    }
-                }
+                let (mode, die_mid) = match take_fault(cfg, pickups, g.group) {
+                    Some((mode, None)) => return die(&mut stream, mode),
+                    // Die mid-group instead: run the group's first
+                    // cycles (emitting due checkpoints), then crash
+                    // without replying.
+                    Some((mode, cycle)) => (mode, cycle),
+                    None => (FaultMode::Disconnect, None),
+                };
                 pickups += 1;
                 // Liveness marker before the compute burst.
                 if write_frame(&mut stream, &Frame::Heartbeat { seq: pickups }).is_err() {
@@ -281,24 +323,16 @@ fn serve_connection(
                         engines,
                         &cfg.exec,
                         cfg.checkpoint_interval,
-                        die_mid.map(|(c, _)| c),
+                        die_mid,
                         sink,
                     )
                 });
                 let reply = match result {
                     Ok(chunk) => Frame::Chunk(chunk),
                     Err(GroupEnd::Failed(context)) => Frame::Error { context },
-                    Err(GroupEnd::Fault) => {
-                        // The injected mid-group crash: no reply, the
-                        // connection dies the way the fault mode says.
-                        match die_mid.map(|(_, m)| m).unwrap_or(FaultMode::Disconnect) {
-                            FaultMode::Disconnect => return ConnectionEnd::Lost,
-                            FaultMode::Silent => {
-                                while read_frame(&mut stream).is_ok() {}
-                                return ConnectionEnd::Lost;
-                            }
-                        }
-                    }
+                    // The injected mid-group crash: no reply, the
+                    // connection dies the way the fault mode says.
+                    Err(GroupEnd::Fault) => return die(&mut stream, mode),
                 };
                 if write_frame(&mut stream, &reply).is_err() {
                     return ConnectionEnd::Lost;
@@ -307,26 +341,11 @@ fn serve_connection(
             Frame::RunPart(p) => {
                 let mut dispatch = p;
                 loop {
-                    let mut die_mid: Option<u64> = None;
-                    let mut die_mode = FaultMode::Disconnect;
-                    if let Some(fault) = cfg.fault {
-                        if pickups == fault.after_pickups {
-                            cfg.fault = None; // consumed: rejoin healthy
-                            match fault.mid_cycle {
-                                None => match fault.mode {
-                                    FaultMode::Disconnect => return ConnectionEnd::Lost,
-                                    FaultMode::Silent => {
-                                        while read_frame(&mut stream).is_ok() {}
-                                        return ConnectionEnd::Lost;
-                                    }
-                                },
-                                Some(cycle) => {
-                                    die_mid = Some(cycle);
-                                    die_mode = fault.mode;
-                                }
-                            }
-                        }
-                    }
+                    let (mode, die_mid) = match take_fault(cfg, pickups, dispatch.group) {
+                        Some((mode, None)) => return die(&mut stream, mode),
+                        Some((mode, cycle)) => (mode, cycle),
+                        None => (FaultMode::Disconnect, None),
+                    };
                     pickups += 1;
                     if write_frame(&mut stream, &Frame::Heartbeat { seq: pickups }).is_err() {
                         return ConnectionEnd::Lost;
@@ -363,13 +382,7 @@ fn serve_connection(
                         }
                         PartEnd::Lost => return ConnectionEnd::Lost,
                         PartEnd::Goodbye => return ConnectionEnd::Goodbye,
-                        PartEnd::Fault => match die_mode {
-                            FaultMode::Disconnect => return ConnectionEnd::Lost,
-                            FaultMode::Silent => {
-                                while read_frame(&mut stream).is_ok() {}
-                                return ConnectionEnd::Lost;
-                            }
-                        },
+                        PartEnd::Fault => return die(&mut stream, mode),
                     }
                 }
             }
@@ -412,6 +425,33 @@ fn serve_connection(
     }
 }
 
+/// The fault due at this pickup, if any: `(mode, mid_cycle)`. A fired
+/// fault is consumed, so the worker rejoins healthy after it.
+fn take_fault(
+    cfg: &mut WorkerConfig,
+    pickups: u64,
+    group: u32,
+) -> Option<(FaultMode, Option<u64>)> {
+    if let Some(f) = cfg.fault.filter(|f| f.after_pickups == pickups) {
+        cfg.fault = None;
+        return Some((f.mode, f.mid_cycle));
+    }
+    cfg.group_faults
+        .iter()
+        .find(|f| f.claim(group))
+        .map(|f| (f.mode, f.mid_cycle))
+}
+
+/// End the connection the way an injected fault says.
+fn die(stream: &mut TcpStream, mode: FaultMode) -> ConnectionEnd {
+    if mode == FaultMode::Silent {
+        // Stop responding but keep the socket open; drain frames until
+        // the controller gives up and closes it.
+        while read_frame(stream).is_ok() {}
+    }
+    ConnectionEnd::Lost
+}
+
 /// A mutex-serialized side channel for frames written *while a group
 /// computes* — checkpoint snapshots from the compute thread and
 /// heartbeats from the ticker share one cloned stream, so their frame
@@ -437,39 +477,38 @@ impl FrameSink<'_> {
 /// the controller's `heartbeat_timeout` keeps extending its per-group
 /// read deadline instead of being falsely declared dead. `compute`
 /// receives a [`FrameSink`] sharing the ticker's stream (mutex-guarded)
-/// for mid-compute checkpoint frames. The ticker is joined (via the
-/// scope) before this returns, so the caller's reply write can never
-/// interleave with a heartbeat or checkpoint frame.
+/// for mid-compute checkpoint frames. The ticker waits its interval out
+/// on a flag that is raised the instant `compute` returns, and is joined
+/// (via the scope) before this returns: the caller's reply write can
+/// never interleave with a heartbeat or checkpoint frame, and never
+/// waits for a timer either.
 fn run_with_heartbeats<T>(
     stream: &TcpStream,
     interval: Duration,
     compute: impl FnOnce(&FrameSink<'_>) -> T,
 ) -> T {
-    let done = AtomicBool::new(false);
+    /// Raised on drop, so a panicking `compute` still releases the
+    /// ticker and the scope's join cannot hang.
+    struct Finished(StopFlag);
+    impl Drop for Finished {
+        fn drop(&mut self) {
+            self.0.raise();
+        }
+    }
+
+    // A zero interval would turn the wait into a busy loop of heartbeats.
+    let interval = interval.max(Duration::from_millis(1));
     // If the clone fails we just compute without heartbeats or
     // checkpoints: short groups still finish inside the controller's
     // deadline.
     let shared = stream.try_clone().ok().map(Mutex::new);
     std::thread::scope(|s| {
+        let finished = Finished(StopFlag::default());
         if let Some(m) = shared.as_ref() {
-            let done = &done;
+            let done = finished.0.clone();
             s.spawn(move || {
-                let step = Duration::from_millis(10).min(interval.max(Duration::from_millis(1)));
                 let mut seq = 0u64;
-                loop {
-                    let mut slept = Duration::ZERO;
-                    while slept < interval {
-                        // Short sleep steps keep the post-compute join
-                        // prompt without a condvar.
-                        if done.load(Ordering::Acquire) {
-                            return;
-                        }
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    if done.load(Ordering::Acquire) {
-                        return;
-                    }
+                while !done.wait(interval) {
                     seq += 1;
                     let dead = match m.lock() {
                         Ok(mut s) => write_frame(&mut *s, &Frame::Heartbeat { seq }).is_err(),
@@ -484,9 +523,7 @@ fn run_with_heartbeats<T>(
         let sink = FrameSink {
             stream: shared.as_ref(),
         };
-        let result = compute(&sink);
-        done.store(true, Ordering::Release);
-        result
+        compute(&sink)
     })
 }
 
@@ -943,4 +980,81 @@ fn wait_and_apply(
     xs.buffered.retain(|&(_, cyc), _| cyc > cycle);
     xs.stall_ns += wait_start.elapsed().as_nanos() as u64;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connected loopback pair: (the worker's end, the controller's end).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        (near, far)
+    }
+
+    #[test]
+    fn ticker_is_released_the_moment_compute_returns() {
+        // The ticker is ten minutes from its first heartbeat when the
+        // compute returns; the join must not wait any of that out.
+        let (stream, _far) = socket_pair();
+        let interval = Duration::from_secs(600);
+        let t0 = Instant::now();
+        assert_eq!(run_with_heartbeats(&stream, interval, |_| 7), 7);
+        assert!(t0.elapsed() < interval);
+    }
+
+    #[test]
+    fn heartbeats_flow_while_compute_runs_and_stop_with_it() {
+        let (stream, mut far) = socket_pair();
+        // The compute "runs" for exactly as long as it takes the far end
+        // to read three heartbeats, so the interleaving is forced.
+        run_with_heartbeats(&stream, Duration::from_millis(2), |_| {
+            for seq in 1..=3 {
+                assert_eq!(read_frame(&mut far).unwrap().0, Frame::Heartbeat { seq });
+            }
+        });
+        // Joined before returning: whatever else the ticker wrote is
+        // already in the socket, and the next frame is the caller's.
+        write_frame(&mut &stream, &Frame::Goodbye).unwrap();
+        loop {
+            match read_frame(&mut far).unwrap().0 {
+                Frame::Heartbeat { .. } => {}
+                other => break assert_eq!(other, Frame::Goodbye),
+            }
+        }
+    }
+
+    #[test]
+    fn group_fault_fires_once_for_whoever_picks_the_group_up() {
+        let fault = GroupFault::new(5, FaultMode::Disconnect, None);
+        let shared = fault.clone();
+        assert!(!fault.claim(4), "another group never fires it");
+        assert!(shared.claim(5), "first pickup of the group");
+        assert!(!fault.claim(5), "consumed for every holder");
+    }
+
+    #[test]
+    fn raised_stop_flag_ends_a_worker_in_reconnect_backoff() {
+        // Nothing listens on the port, and every retry is ten minutes
+        // away: only the flag can end this worker in test time.
+        let port = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let stop = StopFlag::default();
+        let worker = spawn_worker(
+            port,
+            WorkerConfig {
+                backoff_start: Duration::from_secs(600),
+                backoff_max: Duration::from_secs(600),
+                stop: stop.clone(),
+                ..WorkerConfig::default()
+            },
+        );
+        stop.raise();
+        worker.join().unwrap().unwrap();
+    }
 }

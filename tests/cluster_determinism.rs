@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use cluster::GroupFault;
 use rtlflow::{
     spawn_worker, Benchmark, ChaosPlan, ClusterConfig, ClusterMetrics, Controller, DevicePool,
     FaultMode, Flow, PortMap, ShardConfig, StimulusSource, WorkerConfig, WorkerFault,
@@ -29,16 +30,26 @@ fn sharded_digests(flow: &Flow, source: &dyn StimulusSource, cycles: u64) -> Vec
     .digests
 }
 
+/// The faults one run injects. `by_worker[i]` kills worker i at a pickup
+/// (and optionally a cycle) coordinate. `by_group` faults are shared by
+/// every worker and kill whichever of them first picks the addressed
+/// group up: that lands wherever stealing moves the group, where a
+/// pickup count is lost once the victim's queue has been stolen empty.
+#[derive(Default)]
+struct Faults<'a> {
+    by_worker: &'a [(usize, WorkerFault)],
+    by_group: &'a [GroupFault],
+}
+
 /// Run one batch on a loopback cluster of `workers` and return
-/// (digests, metrics). `faults[i]` kills worker i at a pickup (and
-/// optionally a cycle) coordinate; `checkpoint_interval > 0` turns on
-/// mid-group snapshots and checkpoint resume.
+/// (digests, metrics). `checkpoint_interval > 0` turns on mid-group
+/// snapshots and checkpoint resume.
 fn run_cluster(
     bench: Benchmark,
     source: &dyn StimulusSource,
     cycles: u64,
     workers: usize,
-    faults: &[(usize, WorkerFault)],
+    faults: Faults<'_>,
     checkpoint_interval: u64,
     cfg: ClusterConfig,
 ) -> (Vec<u64>, ClusterMetrics) {
@@ -51,7 +62,12 @@ fn run_cluster(
             spawn_worker(
                 controller.addr(),
                 WorkerConfig {
-                    fault: faults.iter().find(|(w, _)| *w == i).map(|&(_, f)| f),
+                    fault: faults
+                        .by_worker
+                        .iter()
+                        .find(|(w, _)| *w == i)
+                        .map(|&(_, f)| f),
+                    group_faults: faults.by_group.to_vec(),
                     checkpoint_interval,
                     ..Default::default()
                 },
@@ -91,7 +107,15 @@ fn loopback_matches_sharded_for_every_benchmark_and_worker_count() {
                 group_size: 8,
                 ..Default::default()
             };
-            let (digests, m) = run_cluster(bench, source.as_ref(), cycles, workers, &[], 0, cfg);
+            let (digests, m) = run_cluster(
+                bench,
+                source.as_ref(),
+                cycles,
+                workers,
+                Faults::default(),
+                0,
+                cfg,
+            );
             assert_eq!(
                 digests, golden,
                 "{bench:?} with {workers} worker(s) diverged from the sharded reference"
@@ -110,14 +134,18 @@ fn worker_killed_mid_run_stays_bit_identical() {
     let source = stimulus::source_for(&flow.design, &map, 64, 0xdead);
     let golden = sharded_digests(&flow, source.as_ref(), 20);
 
-    // Small groups guarantee several pickups per worker, so the kill at
-    // the victim's second pickup really lands mid-batch.
+    // Sixteen groups over four workers; whoever picks up group 5 dies
+    // with it in flight. Some worker must pick it up, so the kill lands
+    // mid-batch however fast the other groups go and whoever steals what.
     let cfg = ClusterConfig {
         group_size: 4,
         ..Default::default()
     };
-    let fault = WorkerFault::at_pickup(1, FaultMode::Disconnect);
-    let (digests, m) = run_cluster(bench, source.as_ref(), 20, 4, &[(1, fault)], 0, cfg);
+    let faults = Faults {
+        by_group: &[GroupFault::new(5, FaultMode::Disconnect, None)],
+        ..Default::default()
+    };
+    let (digests, m) = run_cluster(bench, source.as_ref(), 20, 4, faults, 0, cfg);
     assert_eq!(
         digests, golden,
         "digests changed under a mid-run worker death"
@@ -144,8 +172,11 @@ fn silent_worker_is_detected_by_heartbeat_timeout() {
         heartbeat_timeout: Duration::from_millis(250),
         rejoin_grace: Duration::from_millis(500),
     };
-    let fault = WorkerFault::at_pickup(1, FaultMode::Silent);
-    let (digests, m) = run_cluster(bench, source.as_ref(), 16, 3, &[(0, fault)], 0, cfg);
+    let faults = Faults {
+        by_group: &[GroupFault::new(5, FaultMode::Silent, None)],
+        ..Default::default()
+    };
+    let (digests, m) = run_cluster(bench, source.as_ref(), 16, 3, faults, 0, cfg);
     assert_eq!(digests, golden, "digests changed under a silent worker");
     assert!(
         m.heartbeat_timeouts >= 1,
@@ -164,14 +195,18 @@ fn sole_worker_death_is_rescued_by_its_own_reconnect() {
 
     // One worker, killed mid-batch: no survivor exists, so the orphaned
     // groups can only complete when the worker's reconnect loop rejoins
-    // and the monitor adopts it within the rejoin grace window.
+    // and the monitor adopts it within the rejoin grace window. With
+    // nobody to steal from it, the sole worker's second pickup is certain.
     let cfg = ClusterConfig {
         group_size: 4,
         rejoin_grace: Duration::from_secs(5),
         ..Default::default()
     };
-    let fault = WorkerFault::at_pickup(1, FaultMode::Disconnect);
-    let (digests, m) = run_cluster(bench, source.as_ref(), 16, 1, &[(0, fault)], 0, cfg);
+    let faults = Faults {
+        by_worker: &[(0, WorkerFault::at_pickup(1, FaultMode::Disconnect))],
+        ..Default::default()
+    };
+    let (digests, m) = run_cluster(bench, source.as_ref(), 16, 1, faults, 0, cfg);
     assert_eq!(
         digests, golden,
         "digests changed across a full-cluster outage"
@@ -191,15 +226,18 @@ fn worker_killed_mid_group_resumes_from_checkpoint() {
     let source = stimulus::source_for(&flow.design, &map, 32, 0xc4e);
     let golden = sharded_digests(&flow, source.as_ref(), 48);
 
-    // The victim dies 20 cycles into its first group — past two
+    // Whoever picks up group 0 dies 20 cycles into it — past two
     // checkpoint boundaries (interval 8) — so the requeued group must
     // resume from cycle 16 on the survivor, not restart from zero.
     let cfg = ClusterConfig {
         group_size: 16,
         ..Default::default()
     };
-    let fault = WorkerFault::mid_group(0, 20, FaultMode::Disconnect);
-    let (digests, m) = run_cluster(bench, source.as_ref(), 48, 2, &[(0, fault)], 8, cfg);
+    let faults = Faults {
+        by_group: &[GroupFault::new(0, FaultMode::Disconnect, Some(20))],
+        ..Default::default()
+    };
+    let (digests, m) = run_cluster(bench, source.as_ref(), 48, 2, faults, 8, cfg);
     assert_eq!(
         digests, golden,
         "digests changed across a checkpointed mid-group resume"
@@ -233,15 +271,21 @@ fn chaos_campaign_is_bit_identical_after_recovery() {
     // seed, so a failure here reproduces exactly from this test alone.
     // Every scripted death lands at or past the checkpoint boundary by
     // construction, and the plan may include Silent faults, so the
-    // heartbeat deadline is shortened to keep detection fast.
+    // heartbeat deadline is shortened to keep detection fast. The plan
+    // is applied group-addressed (three groups, three workers), so each
+    // scripted death lands whichever worker ends up with its group.
     let plan = ChaosPlan::generate(7, 3, 48, 8);
     assert!(!plan.faults.is_empty(), "the campaign must script a fault");
+    let faults = Faults {
+        by_group: &plan.group_faults(),
+        ..Default::default()
+    };
     let cfg = ClusterConfig {
         group_size: 16,
         heartbeat_timeout: Duration::from_millis(300),
         rejoin_grace: Duration::from_secs(5),
     };
-    let (digests, m) = run_cluster(bench, source.as_ref(), 48, 3, &plan.faults, 8, cfg);
+    let (digests, m) = run_cluster(bench, source.as_ref(), 48, 3, faults, 8, cfg);
     assert_eq!(
         digests,
         golden,

@@ -108,8 +108,9 @@ fn in_process_k_way_matches_sharded_for_every_benchmark() {
 fn loopback_model_parallel_matches_sharded_and_overlaps_exchange() {
     // Handshake ring over a real loopback cluster: K=2 co-simulation
     // with per-cycle boundary exchange must stay bit-identical, and the
-    // exchange must hide at least 25% of its latency behind the part
-    // levels that don't depend on remote inputs.
+    // exchange timers must have run. How *much* of the exchange latency
+    // hides behind compute is a wall-clock ratio, so it is gated where
+    // timing belongs: the CI model-parallel smoke (hidden >= 25%).
     let bench = Benchmark::Handshake;
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
@@ -130,13 +131,6 @@ fn loopback_model_parallel_matches_sharded_and_overlaps_exchange() {
     );
     let exchange = m.overlap_hidden_ns + m.exchange_stall_ns;
     assert!(exchange > 0, "exchange timing must be recorded");
-    assert!(
-        m.overlap_hidden_ns * 4 >= exchange,
-        "compute must hide >= 25% of exchange latency on loopback \
-         (hidden {} ns of {} ns)",
-        m.overlap_hidden_ns,
-        exchange
-    );
 }
 
 #[test]
