@@ -46,27 +46,7 @@ pub fn prepare_tuned(
     let graph = RtlGraph::build(design).map_err(|e| format!("{e}"))?;
     let part = artifact.partition.materialize(design, &graph);
     let program = KernelProgram::build_with(design, &graph, &part, &artifact.fuse)?;
-    let cuda = CudaGraph::instantiate_full(
-        program.graph.clone(),
-        model,
-        Some(program.uniform.clone()),
-        Some(program.bit.clone()),
-    )?;
-    Ok((program, cuda))
-}
-
-/// The default (untuned) build — what `pipeline::prepare` does.
-fn prepare_default(
-    design: &Design,
-    model: &GpuModel,
-) -> Result<(KernelProgram, CudaGraph), String> {
-    let program = transpile::transpile(design)?;
-    let cuda = CudaGraph::instantiate_full(
-        program.graph.clone(),
-        model,
-        Some(program.uniform.clone()),
-        Some(program.bit.clone()),
-    )?;
+    let cuda = program.instantiate(model)?;
     Ok((program, cuda))
 }
 
@@ -88,7 +68,7 @@ pub fn prepare_with_policy(
             return (Ok(built), Some(artifact));
         }
     }
-    (prepare_default(design, model), None)
+    (pipeline::prepare(design, model), None)
 }
 
 /// Resolve the exec config an engine should run with: the artifact's

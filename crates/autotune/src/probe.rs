@@ -11,7 +11,8 @@
 
 use std::collections::HashMap;
 
-use cudasim::{ExecConfig, ExecStrategy, FuseConfig, Scratch};
+use cudasim::{ExecConfig, ExecStrategy, FuseConfig};
+use pipeline::GroupRunner;
 use rtlir::{Design, RtlGraph};
 use stimulus::{PortMap, StimulusSource};
 use transpile::KernelProgram;
@@ -78,6 +79,14 @@ impl Default for ProbeSettings {
 /// Program-cache key: the build-affecting dimensions of a candidate.
 type ProgramKey = (usize, usize, String);
 
+fn program_key(cand: &Candidate) -> ProgramKey {
+    (
+        cand.fuse.const_fold_min_ops,
+        cand.fuse.superop_min_ops,
+        cand.partition.spec(),
+    )
+}
+
 /// Reusable probe state for one design.
 pub struct ProbeHarness<'a> {
     design: &'a Design,
@@ -110,11 +119,7 @@ impl<'a> ProbeHarness<'a> {
     /// Build (or fetch the cached) program for a candidate's fuse and
     /// partition settings.
     pub fn program_for(&mut self, cand: &Candidate) -> Result<&KernelProgram, String> {
-        let key: ProgramKey = (
-            cand.fuse.const_fold_min_ops,
-            cand.fuse.superop_min_ops,
-            cand.partition.spec(),
-        );
+        let key = program_key(cand);
         if !self.programs.contains_key(&key) {
             let part = cand.partition.materialize(self.design, &self.graph);
             let program = KernelProgram::build_with(self.design, &self.graph, &part, &cand.fuse)?;
@@ -126,40 +131,16 @@ impl<'a> ProbeHarness<'a> {
     /// Measure a candidate: median-per-cycle throughput in
     /// stimulus-cycles/second (the `bench-exec` metric).
     pub fn measure(&mut self, cand: &Candidate) -> Result<f64, String> {
-        let n = self.settings.num_stimulus;
         let cycles = self.settings.cycles.max(1);
         self.program_for(cand)?;
-        let key: ProgramKey = (
-            cand.fuse.const_fold_min_ops,
-            cand.fuse.superop_min_ops,
-            cand.partition.spec(),
-        );
-        let program = &self.programs[&key];
-
-        let mut dev = program.plan.alloc_device(n);
-        let mut scratches: Vec<Scratch> = (0..cand.exec.thread_count().max(1))
-            .map(|_| Scratch::new())
-            .collect();
-        let mut frame = vec![0u64; self.map.len()];
-        // Untimed warm-up cycle faults in the lazily-mapped device pages,
-        // then reset so every candidate measures from the same state.
-        program.run_cycle_exec(&mut dev, &mut scratches, 0, n, &cand.exec);
-        dev.reset();
-        let mut per_cycle = Vec::with_capacity(cycles as usize);
-        for c in 0..cycles {
-            for s in 0..n {
-                self.source.fill_frame(s, c, &mut frame);
-                for (lane, port) in self.map.ports.iter().enumerate() {
-                    program.plan.poke(&mut dev, port.var, s, frame[lane]);
-                }
-            }
-            let t0 = std::time::Instant::now();
-            program.run_cycle_exec(&mut dev, &mut scratches, 0, n, &cand.exec);
-            per_cycle.push(t0.elapsed());
-        }
-        per_cycle.sort();
-        let median = per_cycle[per_cycle.len() / 2];
-        Ok(n as f64 / median.as_secs_f64().max(1e-9))
+        let program = &self.programs[&program_key(cand)];
+        Ok(median_throughput(
+            program,
+            cand.exec,
+            &self.map,
+            self.source.as_ref(),
+            cycles,
+        ))
     }
 
     /// Deterministic cost model in pseudo stimulus-cycles/second: same
@@ -171,12 +152,7 @@ impl<'a> ProbeHarness<'a> {
         let lane_chunk = cand.exec.lane_chunk.max(1) as f64;
         let chunks = (n / lane_chunk).ceil().max(1.0);
         self.program_for(cand)?;
-        let key: ProgramKey = (
-            cand.fuse.const_fold_min_ops,
-            cand.fuse.superop_min_ops,
-            cand.partition.spec(),
-        );
-        let program = &self.programs[&key];
+        let program = &self.programs[&program_key(cand)];
 
         // Per-cycle cost in abstract op units. Each kernel dispatch per
         // lane chunk pays a fixed overhead (the thing larger chunks and
@@ -234,6 +210,37 @@ impl<'a> ProbeHarness<'a> {
         };
         Ok(1e9 * n / cost.max(1.0))
     }
+}
+
+/// Executor throughput of `program` under `exec` over the whole of
+/// `source`, in stimulus-cycles/second. Pokes are host `set_inputs` work
+/// and stay outside the timed region; per-cycle wall times are reduced
+/// with the median, which shrugs off preemption spikes on shared cores
+/// that would swamp a sum.
+pub fn median_throughput(
+    program: &KernelProgram,
+    exec: ExecConfig,
+    map: &PortMap,
+    source: &dyn StimulusSource,
+    cycles: u64,
+) -> f64 {
+    let n = source.num_stimulus();
+    let mut runner = GroupRunner::new(program, exec, n);
+    // One untimed warm-up cycle faults in the lazily zero-mapped device
+    // pages and warms the caches; the reset makes every candidate measure
+    // the same cycle range from the same state.
+    runner.step();
+    runner.reset();
+    let mut per_cycle = Vec::with_capacity(cycles as usize);
+    for _ in 0..cycles {
+        runner.poke_source(map, source, 0);
+        let t0 = std::time::Instant::now();
+        runner.step();
+        per_cycle.push(t0.elapsed());
+    }
+    per_cycle.sort();
+    let median = per_cycle[per_cycle.len() / 2];
+    n as f64 / median.as_secs_f64().max(1e-9)
 }
 
 /// (per-lane fused ops, hoisted-to-scalar fused ops) across the program.

@@ -3,9 +3,9 @@
 //! (event-driven) and the SIMT batch executor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cudasim::Scratch;
-use rtlflow::{Benchmark, EssentSim, Flow, PortMap, RiscvSource, VerilatorSim};
-use stimulus::StimulusSource;
+use rtlflow::{
+    Benchmark, EssentSim, ExecConfig, Flow, GroupRunner, PortMap, RiscvSource, VerilatorSim,
+};
 
 fn bench_engines(c: &mut Criterion) {
     let design = Benchmark::RiscvMini.elaborate().unwrap();
@@ -28,20 +28,10 @@ fn bench_engines(c: &mut Criterion) {
 
     g.bench_function("simt_batch/cycle", |bench| {
         let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
-        let mut dev = flow.program.plan.alloc_device(n);
-        let mut scratch = Scratch::new();
-        let mut frame = vec![0u64; map.len()];
-        let mut cycle = 0u64;
+        let mut runner = GroupRunner::new(&flow.program, ExecConfig::default(), n);
         bench.iter(|| {
-            for s in 0..n {
-                src.fill_frame(s, cycle, &mut frame);
-                for (lane, port) in map.ports.iter().enumerate() {
-                    flow.program.plan.poke(&mut dev, port.var, s, frame[lane]);
-                }
-            }
-            flow.program
-                .run_cycle_functional(&mut dev, &mut scratch, 0, n);
-            cycle += 1;
+            runner.poke_source(&map, &src, 0);
+            runner.step();
         })
     });
 

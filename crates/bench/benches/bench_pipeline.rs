@@ -1,9 +1,9 @@
-//! Pipeline machinery: the virtual-time scheduler's own overhead and the
-//! real thread-based executor vs the sequential path.
+//! Pipeline machinery: the virtual-time scheduler's own overhead and a
+//! functional batch through it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cudasim::GpuModel;
-use pipeline::{model_batch, prepare, simulate_batch, threaded::run_threaded, PipelineConfig};
+use pipeline::{model_batch, prepare, simulate_batch, PipelineConfig};
 use rtlflow::{Benchmark, PortMap, RiscvSource};
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_pipeline(c: &mut Criterion) {
         bench.iter(|| model_batch(&program, &graph, map.len(), 4096, 64, &cfg, &model))
     });
 
-    // Functional sequential vs real-thread pipelined execution.
+    // Functional execution plus the model.
     let n = 64;
     let src = RiscvSource::new(&map, n, 5);
     g.bench_function("functional_sequential/64x32", |bench| {
@@ -33,9 +33,6 @@ fn bench_pipeline(c: &mut Criterion) {
             ..Default::default()
         };
         bench.iter(|| simulate_batch(&design, &program, &graph, &map, &src, 32, &cfg, &model))
-    });
-    g.bench_function("functional_threaded/64x32", |bench| {
-        bench.iter(|| run_threaded(&design, &program, &map, &src, n, 32, 16, 2, 4))
     });
 
     g.finish();

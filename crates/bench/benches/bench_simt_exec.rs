@@ -5,9 +5,7 @@
 //! execution on the host thread pool.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use cudasim::{ExecConfig, Scratch};
-use rtlflow::{Benchmark, Flow, PortMap};
-use stimulus::StimulusSource;
+use rtlflow::{Benchmark, ExecConfig, Flow, GroupRunner, PortMap};
 
 fn bench_exec(c: &mut Criterion) {
     let designs = [
@@ -30,23 +28,11 @@ fn bench_exec(c: &mut Criterion) {
             let src = stimulus::source_for(&flow.design, &map, n, 42);
             g.throughput(Throughput::Elements(n as u64));
             for (sname, exec) in &strategies {
-                let mut dev = flow.program.plan.alloc_device(n);
-                let mut scratches: Vec<Scratch> = (0..exec.thread_count().max(1))
-                    .map(|_| Scratch::new())
-                    .collect();
-                let mut frame = vec![0u64; map.len()];
-                let mut cycle = 0u64;
+                let mut runner = GroupRunner::new(&flow.program, *exec, n);
                 g.bench_function(format!("{dname}/{sname}/cycle/n{n}"), |bench| {
                     bench.iter(|| {
-                        for s in 0..n {
-                            src.fill_frame(s, cycle, &mut frame);
-                            for (lane, port) in map.ports.iter().enumerate() {
-                                flow.program.plan.poke(&mut dev, port.var, s, frame[lane]);
-                            }
-                        }
-                        flow.program
-                            .run_cycle_exec(&mut dev, &mut scratches, 0, n, exec);
-                        cycle += 1;
+                        runner.poke_source(&map, &src, 0);
+                        runner.step();
                     })
                 });
             }

@@ -22,8 +22,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cudasim::{Checkpoint, DeviceMemory, ExecConfig, Scratch};
+use cudasim::{Checkpoint, DeviceMemory, ExecConfig};
 use modelpar::PartEngine;
+use pipeline::{restore_image, GroupRunner, Resume};
 use rtlir::Design;
 use stimulus::PortMap;
 use transpile::KernelProgram;
@@ -615,7 +616,7 @@ fn run_group(
         .ok_or_else(|| fail(format!("batch {} lost its engine", g.batch)))?;
     // Tuned exec applies only when the configured exec is the default —
     // an explicit strategy choice always wins over the cache.
-    let exec = &autotune::resolve_exec(*exec, engine.tuned.as_ref());
+    let exec = autotune::resolve_exec(*exec, engine.tuned.as_ref());
     let len = g.len as usize;
     let lanes = info.lanes as usize;
     let expect = len
@@ -630,58 +631,39 @@ fn run_group(
             info.cycles
         )));
     }
-    let mut dev = engine.program.plan.alloc_device(len);
-    let mut start_cycle = 0u64;
-    if g.resume_cycle > 0 && !g.resume_image.is_empty() {
-        if let Ok(ck) = Checkpoint::decode(&g.resume_image) {
-            if ck.design_hash == info.design_key
-                && ck.cycle == g.resume_cycle
-                && ck.cycle < info.cycles
-                && ck.tid0 == g.tid0
-                && ck.n() == len
-                && ck.restore_into(&mut dev).is_ok()
-            {
-                start_cycle = ck.cycle;
-            }
-        }
+    let mut runner = GroupRunner::new(&engine.program, exec, len);
+    if g.resume_cycle > 0 {
+        runner.restore(
+            &g.resume_image,
+            &Resume {
+                design_hash: info.design_key,
+                tid0: g.tid0,
+                cycle: g.resume_cycle,
+                cycles: info.cycles,
+            },
+        );
     }
-    let mut scratches: Vec<Scratch> = (0..exec.thread_count().max(1))
-        .map(|_| Scratch::new())
-        .collect();
-    for c in start_cycle as usize..info.cycles as usize {
-        for s in 0..len {
-            let base = (s * info.cycles as usize + c) * lanes;
-            for (lane, port) in engine.map.ports.iter().enumerate() {
-                engine
-                    .program
-                    .plan
-                    .poke(&mut dev, port.var, s, g.frames[base + lane]);
-            }
-        }
-        engine
-            .program
-            .run_cycle_exec(&mut dev, &mut scratches, 0, len, exec);
-        let completed = c as u64 + 1;
+    for c in runner.cycle()..info.cycles {
+        runner.poke_frames(&engine.map, &g.frames, info.cycles);
+        runner.step();
+        let completed = c + 1;
         if checkpoint_interval > 0
             && completed.is_multiple_of(checkpoint_interval)
             && completed < info.cycles
         {
-            let image = Checkpoint::capture(&dev, info.design_key, completed, g.tid0).encode();
             sink.send(&Frame::Checkpoint(CheckpointUpdate {
                 batch: g.batch,
                 group: g.group,
                 tid0: g.tid0,
                 cycle: completed,
-                image,
+                image: runner.checkpoint(info.design_key, g.tid0).encode(),
             }));
         }
         if die_at_cycle.is_some_and(|k| completed >= k) {
             return Err(GroupEnd::Fault);
         }
     }
-    let digests = (0..len)
-        .map(|i| engine.program.plan.output_digest(&dev, &engine.design, i))
-        .collect();
+    let digests = runner.digests(&engine.design);
     Ok(ResultChunk {
         batch: g.batch,
         group: g.group,
@@ -799,15 +781,13 @@ fn run_part(
         // to cycle 0: all K parts must restart from the same cycle or
         // determinism breaks. A bad image is an error the controller
         // turns into another rollback.
-        let ok = Checkpoint::decode(&p.resume_image).is_ok_and(|ck| {
-            ck.design_hash == pe.design_hash
-                && ck.cycle == p.start_cycle
-                && ck.cycle < cycles
-                && ck.tid0 == p.tid0
-                && ck.n() == len
-                && ck.restore_into(&mut dev).is_ok()
-        });
-        if !ok {
+        let expect = Resume {
+            design_hash: pe.design_hash,
+            tid0: p.tid0,
+            cycle: p.start_cycle,
+            cycles,
+        };
+        if !restore_image(&mut dev, &p.resume_image, &expect) {
             return PartEnd::Failed(format!(
                 "part {}: resume image for cycle {} failed validation",
                 p.part, p.start_cycle
@@ -815,9 +795,7 @@ fn run_part(
         }
         start_cycle = p.start_cycle;
     }
-    let mut scratches: Vec<Scratch> = (0..exec.thread_count().max(1))
-        .map(|_| Scratch::new())
-        .collect();
+    let mut scratches = exec.scratch_pool();
     let mut xs = ExchangeState {
         buffered: HashMap::new(),
         hidden_ns: 0,

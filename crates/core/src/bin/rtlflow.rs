@@ -14,7 +14,7 @@
 use std::process::exit;
 
 use rtlflow::cli::{benchmark_by_name, csv_list, Args};
-use rtlflow::{fmt_duration, Benchmark, Flow, KernelProgram, PipelineConfig, PortMap};
+use rtlflow::{fmt_duration, Benchmark, Flow, PipelineConfig, PortMap};
 use transpile::ToggleCoverage;
 
 const USAGE: &str = "usage: rtlflow <command> [args]
@@ -278,6 +278,7 @@ fn main() {
             }
         }
         "bench-exec" => {
+            use autotune::probe::median_throughput;
             use desim::Json;
             use rtlflow::ExecConfig;
 
@@ -337,48 +338,15 @@ fn main() {
                         (false, false) => 256,
                     };
                     let source = stimulus::source_for(&flow.design, &map, n, 7);
-                    // Pokes are host set_inputs work — kept outside the
-                    // timed region so throughput isolates the executor.
-                    // Per-cycle durations are reduced with the median,
-                    // which shrugs off preemption spikes on shared CI
-                    // cores that would swamp a summed measurement.
-                    let measure = |program: &KernelProgram, exec: &ExecConfig| -> f64 {
-                        let mut dev = program.plan.alloc_device(n);
-                        let mut scratches: Vec<cudasim::Scratch> = (0..exec.thread_count().max(1))
-                            .map(|_| cudasim::Scratch::new())
-                            .collect();
-                        let mut frame = vec![0u64; map.len()];
-                        // One untimed warm-up cycle: faults in the lazily
-                        // zero-mapped device pages and warms the caches,
-                        // then reset so every strategy measures the same
-                        // cycle range from the same state.
-                        program.run_cycle_exec(&mut dev, &mut scratches, 0, n, exec);
-                        dev.reset();
-                        let mut per_cycle = Vec::with_capacity(cycles as usize);
-                        for c in 0..cycles {
-                            for s in 0..n {
-                                source.fill_frame(s, c, &mut frame);
-                                for (lane, port) in map.ports.iter().enumerate() {
-                                    program.plan.poke(&mut dev, port.var, s, frame[lane]);
-                                }
-                            }
-                            let t0 = std::time::Instant::now();
-                            program.run_cycle_exec(&mut dev, &mut scratches, 0, n, exec);
-                            per_cycle.push(t0.elapsed());
-                        }
-                        per_cycle.sort();
-                        let median = per_cycle[per_cycle.len() / 2];
-                        n as f64 / median.as_secs_f64().max(1e-9)
-                    };
                     let mut row = Json::obj().field("n", n).field("cycles", cycles);
                     table.push_str(&format!("{name:>12}  n={n:<6} c={cycles:<4}"));
                     for (label, exec) in &strategies {
-                        let tput = measure(&flow.program, exec);
+                        let tput = median_throughput(&flow.program, *exec, &map, &source, cycles);
                         row = row.field(label, tput);
                         table.push_str(&format!("  {label} {tput:>12.0}/s"));
                     }
                     if let Some((a, program)) = &tuned {
-                        let tput = measure(program, &a.exec);
+                        let tput = median_throughput(program, a.exec, &map, &source, cycles);
                         row = row.field("tuned", tput);
                         table.push_str(&format!("  tuned {tput:>12.0}/s"));
                     }
@@ -558,20 +526,13 @@ fn main() {
             let seed: u64 = args.num("seed", 1);
             let map = PortMap::from_design(&flow.design);
             let source = stimulus::source_for(&flow.design, &map, n, seed);
-            let mut dev = flow.program.plan.alloc_device(n);
-            let mut scratch = cudasim::Scratch::new();
+            let mut runner =
+                rtlflow::GroupRunner::new(&flow.program, rtlflow::ExecConfig::default(), n);
             let mut cov = ToggleCoverage::new(&flow.design);
-            let mut frame = vec![0u64; map.len()];
-            for c in 0..cycles {
-                for s in 0..n {
-                    source.fill_frame(s, c, &mut frame);
-                    for (lane, port) in map.ports.iter().enumerate() {
-                        flow.program.plan.poke(&mut dev, port.var, s, frame[lane]);
-                    }
-                }
-                flow.program
-                    .run_cycle_functional(&mut dev, &mut scratch, 0, n);
-                cov.sample(&flow.design, &flow.program.plan, &dev, 0, n);
+            for _ in 0..cycles {
+                runner.poke_source(&map, source.as_ref(), 0);
+                runner.step();
+                cov.sample(&flow.design, &flow.program.plan, runner.dev(), 0, n);
             }
             print!("{}", cov.report(&flow.design, 20));
         }

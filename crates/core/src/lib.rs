@@ -55,7 +55,7 @@ pub use partition::{
     mcmc_partition, static_partition, CutReport, McmcConfig, McmcResult, ModelPart, PartCutRow,
     PartitionSpec,
 };
-pub use pipeline::{simulate_batch, HostModel, PipelineConfig, SimResult};
+pub use pipeline::{simulate_batch, GroupRunner, HostModel, PipelineConfig, SimResult};
 pub use rtlir::{BitVec, Design, Interp};
 pub use serve::{
     journal, replay as serve_replay, ClusterBackend, DeadlineClass, JobEvent, JobHandle, JobResult,
@@ -63,8 +63,8 @@ pub use serve::{
     SimService, SubmitError, TraceConfig, TraceReport,
 };
 pub use shard::{
-    model_shard_batch, resume_group_exec, shard_batch, shard_batch_jobs, DevicePool, DeviceReport,
-    DeviceSpec, FaultSpec, ShardConfig, ShardJobResult, ShardMetrics, ShardResult,
+    model_shard_batch, shard_batch, shard_batch_jobs, DevicePool, DeviceReport, DeviceSpec,
+    FaultSpec, ShardConfig, ShardJobResult, ShardMetrics, ShardResult,
 };
 pub use stimulus::{PortMap, RandomSource, RiscvSource, SliceSource, StimulusSource};
 pub use transpile::{emit_cpp, emit_cuda, CodeMetrics, KernelProgram, Partition};
@@ -85,6 +85,22 @@ pub enum PartitionStrategy {
     Static { alpha: usize },
     /// The paper's GPU-aware MCMC search (Algorithm 1).
     Mcmc(McmcConfig),
+}
+
+impl PartitionStrategy {
+    fn partition(
+        &self,
+        design: &Design,
+        graph: &RtlGraph,
+        model: &GpuModel,
+    ) -> Result<Partition, String> {
+        Ok(match self {
+            PartitionStrategy::PerLevel => transpile::default_partition(design, graph),
+            PartitionStrategy::PerProcess => transpile::per_process_partition(design, graph),
+            PartitionStrategy::Static { alpha } => static_partition(design, graph, *alpha),
+            PartitionStrategy::Mcmc(cfg) => mcmc_partition(design, graph, model, cfg)?.partition,
+        })
+    }
 }
 
 /// Transpilation statistics (Table 1 rows).
@@ -141,19 +157,9 @@ impl Flow {
         model: GpuModel,
     ) -> Result<Flow, String> {
         let graph = RtlGraph::build(&design).map_err(|e| e.to_string())?;
-        let partition = match &strategy {
-            PartitionStrategy::PerLevel => transpile::default_partition(&design, &graph),
-            PartitionStrategy::PerProcess => transpile::per_process_partition(&design, &graph),
-            PartitionStrategy::Static { alpha } => static_partition(&design, &graph, *alpha),
-            PartitionStrategy::Mcmc(cfg) => mcmc_partition(&design, &graph, &model, cfg)?.partition,
-        };
+        let partition = strategy.partition(&design, &graph, &model)?;
         let program = KernelProgram::build(&design, &graph, &partition)?;
-        let cuda = CudaGraph::instantiate_full(
-            program.graph.clone(),
-            &model,
-            Some(program.uniform.clone()),
-            Some(program.bit.clone()),
-        )?;
+        let cuda = program.instantiate(&model)?;
         Ok(Flow {
             design,
             graph_info: graph,
@@ -166,27 +172,9 @@ impl Flow {
 
     /// Re-partition an existing flow (cheaper than rebuilding the design).
     pub fn repartition(&mut self, strategy: PartitionStrategy) -> Result<(), String> {
-        let partition = match &strategy {
-            PartitionStrategy::PerLevel => {
-                transpile::default_partition(&self.design, &self.graph_info)
-            }
-            PartitionStrategy::PerProcess => {
-                transpile::per_process_partition(&self.design, &self.graph_info)
-            }
-            PartitionStrategy::Static { alpha } => {
-                static_partition(&self.design, &self.graph_info, *alpha)
-            }
-            PartitionStrategy::Mcmc(cfg) => {
-                mcmc_partition(&self.design, &self.graph_info, &self.model, cfg)?.partition
-            }
-        };
+        let partition = strategy.partition(&self.design, &self.graph_info, &self.model)?;
         self.program = KernelProgram::build(&self.design, &self.graph_info, &partition)?;
-        self.cuda = CudaGraph::instantiate_full(
-            self.program.graph.clone(),
-            &self.model,
-            Some(self.program.uniform.clone()),
-            Some(self.program.bit.clone()),
-        )?;
+        self.cuda = self.program.instantiate(&self.model)?;
         self.partition = partition;
         Ok(())
     }
@@ -196,13 +184,9 @@ impl Flow {
         PortMap::from_design(&self.design)
     }
 
-    /// Simulate a batch with explicit source and pipeline configuration.
-    pub fn simulate(
-        &self,
-        source: &dyn StimulusSource,
-        cycles: u64,
-        cfg: &PipelineConfig,
-    ) -> Result<SimResult, String> {
+    /// The port map, once `source` is known to drive it: one lane per
+    /// port, at least one stimulus.
+    fn checked_port_map(&self, source: &dyn StimulusSource) -> Result<PortMap, String> {
         let map = self.port_map();
         if source.num_ports() != map.len() {
             return Err(format!(
@@ -211,6 +195,20 @@ impl Flow {
                 map.len()
             ));
         }
+        if source.num_stimulus() == 0 {
+            return Err("stimulus batch is empty".to_string());
+        }
+        Ok(map)
+    }
+
+    /// Simulate a batch with explicit source and pipeline configuration.
+    pub fn simulate(
+        &self,
+        source: &dyn StimulusSource,
+        cycles: u64,
+        cfg: &PipelineConfig,
+    ) -> Result<SimResult, String> {
+        let map = self.checked_port_map(source)?;
         Ok(simulate_batch(
             &self.design,
             &self.program,
@@ -233,14 +231,7 @@ impl Flow {
         cfg: &ShardConfig,
         pool: &DevicePool,
     ) -> Result<ShardResult, String> {
-        let map = self.port_map();
-        if source.num_ports() != map.len() {
-            return Err(format!(
-                "stimulus has {} lanes but design drives {} ports",
-                source.num_ports(),
-                map.len()
-            ));
-        }
+        let map = self.checked_port_map(source)?;
         Ok(shard_batch(
             &self.design,
             &self.program,
@@ -364,6 +355,17 @@ mod tests {
         let other = Flow::from_benchmark(Benchmark::Nvdla(NvdlaScale::Tiny)).unwrap();
         let src = stimulus::NvdlaSource::new(&other.port_map(), 4, 1);
         assert!(flow.simulate(&src, 5, &PipelineConfig::default()).is_err());
+    }
+
+    #[test]
+    fn empty_batch_is_rejected() {
+        let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
+        let src = RiscvSource::new(&flow.port_map(), 0, 1);
+        assert!(flow.simulate(&src, 5, &PipelineConfig::default()).is_err());
+        let pool = DevicePool::uniform(flow.model.clone(), 2);
+        assert!(flow
+            .simulate_sharded(&src, 5, &ShardConfig::default(), &pool)
+            .is_err());
     }
 
     #[test]

@@ -25,9 +25,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::device::{apply_bin, apply_un, mask, DeviceMemory, Scratch};
+use crate::bitplane::{run_bitplane_cycle, BitLayout};
+use crate::device::{apply_bin, apply_un, execute_kernel, mask, DeviceMemory, Scratch};
 use crate::fuse::{FOp, FusedKernel};
-use crate::ir::{Bucket, KBin, KUn, Reg, Slot};
+use crate::ir::{Bucket, KBin, KUn, Kernel, Reg, Slot};
 
 /// How the functional executor runs a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,6 +264,13 @@ impl ExecConfig {
                 }
             }
         }
+    }
+
+    /// One fresh [`Scratch`] per worker thread this config wants.
+    pub fn scratch_pool(&self) -> Vec<Scratch> {
+        (0..self.thread_count().max(1))
+            .map(|_| Scratch::new())
+            .collect()
     }
 }
 
@@ -1298,10 +1306,70 @@ pub fn execute_ordered_parallel(
     });
 }
 
+/// Execute the kernels `order` names for lanes `[tid0, tid0 + group)`
+/// under `exec`: the one place a strategy becomes an executor call.
+/// `kernels` is the scalar reference form of the program and `fused` the
+/// same kernels fused. With `bit` absent, `BitPlane` runs the vectorized
+/// engine, which is bit-identical. `scratches` holds at least one
+/// element, one per worker for the parallel strategies. Returns the ops
+/// computed once as scalars instead of once per lane.
+#[allow(clippy::too_many_arguments)]
+pub fn run_order(
+    kernels: &[Kernel],
+    fused: &[FusedKernel],
+    bit: Option<&BitLayout>,
+    order: &[usize],
+    dev: &mut DeviceMemory,
+    scratches: &mut [Scratch],
+    tid0: usize,
+    group: usize,
+    exec: &ExecConfig,
+) -> u64 {
+    match (exec.strategy, bit) {
+        (ExecStrategy::Scalar, _) => {
+            for &k in order {
+                execute_kernel(&kernels[k], dev, &mut scratches[0], tid0, group);
+            }
+        }
+        (ExecStrategy::BlockParallel { block, .. }, _) => execute_ordered_parallel(
+            fused,
+            order,
+            dev,
+            scratches,
+            tid0,
+            group,
+            block,
+            exec.lane_chunk,
+        ),
+        (ExecStrategy::BitPlane { block, .. }, Some(bit)) => run_bitplane_cycle(
+            bit,
+            order,
+            dev,
+            scratches,
+            tid0,
+            group,
+            block,
+            exec.lane_chunk,
+        ),
+        (ExecStrategy::Vectorized, _) | (ExecStrategy::BitPlane { .. }, None) => execute_ordered(
+            fused,
+            order,
+            dev,
+            &mut scratches[0],
+            tid0,
+            group,
+            exec.lane_chunk,
+        ),
+    }
+    scratches
+        .iter_mut()
+        .map(|s| std::mem::take(&mut s.scalar_ops))
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::execute_kernel;
     use crate::fuse::fuse_kernel;
     use crate::ir::{Kernel, Op};
 

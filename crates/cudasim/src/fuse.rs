@@ -1160,6 +1160,22 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
+    /// Static statistics of a fused program and the uniform-slot analysis
+    /// it was specialized against. `scalar_ops_per_cycle` is a runtime
+    /// quantity, filled in by whoever counted executed cycles.
+    pub fn of(fused: &[FusedKernel], uniform: Option<&SlotUniform>) -> ExecStats {
+        let mut fuse = FuseStats::default();
+        for fk in fused {
+            fuse.accumulate(&fk.stats);
+        }
+        ExecStats {
+            fuse,
+            uniform_slots: uniform.map_or(0, |u| u.uniform_count() as u64),
+            total_slots: uniform.map_or(0, |u| u.total_count() as u64),
+            scalar_ops_per_cycle: 0.0,
+        }
+    }
+
     pub fn to_json(&self) -> desim::Json {
         desim::Json::obj()
             .field("ops_in", desim::Json::Int(self.fuse.ops_in as i128))

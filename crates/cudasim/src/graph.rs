@@ -14,10 +14,10 @@
 
 use desim::{Resource, Time, Trace};
 
-use crate::bitplane::{run_bitplane_cycle, BitLayout};
-use crate::device::{execute_kernel, DeviceMemory, Scratch};
-use crate::exec::{execute_ordered, execute_ordered_parallel, ExecConfig, ExecStrategy};
-use crate::fuse::{fuse_graph, ExecStats, FuseStats, FusedKernel, SlotUniform};
+use crate::bitplane::BitLayout;
+use crate::device::{DeviceMemory, Scratch};
+use crate::exec::{run_order, ExecConfig};
+use crate::fuse::{fuse_graph, ExecStats, FusedKernel, SlotUniform};
 use crate::ir::TaskGraphIr;
 use crate::model::GpuModel;
 
@@ -46,31 +46,21 @@ pub struct CudaGraph {
     pub fused: Vec<FusedKernel>,
     /// Uniform-slot analysis the fusion was specialized against.
     pub uniform: Option<SlotUniform>,
-    /// Bit-transposed layout for the [`ExecStrategy::BitPlane`] strategy
+    /// Bit-transposed layout for the [`crate::ExecStrategy::BitPlane`] strategy
     /// (`None` falls back to vectorized execution under that strategy).
     pub bit: Option<BitLayout>,
 }
 
 impl CudaGraph {
-    /// Validate and instantiate a task graph (no uniform-slot analysis —
-    /// every load is treated as per-lane data).
+    /// Validate and instantiate a task graph with neither analysis:
+    /// every load is treated as per-lane data.
     pub fn instantiate(ir: TaskGraphIr, model: &GpuModel) -> Result<CudaGraph, String> {
-        CudaGraph::instantiate_with(ir, model, None)
-    }
-
-    /// Validate and instantiate, specializing the fused programs against
-    /// a uniform-slot analysis (see [`SlotUniform::analyze`]).
-    pub fn instantiate_with(
-        ir: TaskGraphIr,
-        model: &GpuModel,
-        uniform: Option<SlotUniform>,
-    ) -> Result<CudaGraph, String> {
-        CudaGraph::instantiate_full(ir, model, uniform, None)
+        CudaGraph::instantiate_full(ir, model, None, None)
     }
 
     /// Validate and instantiate with both analyses: the uniform-slot
     /// specialization and (optionally) a precompiled bit-transposed
-    /// layout for [`ExecStrategy::BitPlane`].
+    /// layout for [`crate::ExecStrategy::BitPlane`].
     pub fn instantiate_full(
         ir: TaskGraphIr,
         model: &GpuModel,
@@ -107,25 +97,10 @@ impl CudaGraph {
         )
     }
 
-    /// Aggregate fusion + uniform statistics for the metrics path.
-    /// `scalar_ops_per_cycle` is a runtime quantity, filled by callers
-    /// that track executed cycles (e.g. [`GpuRuntime::exec_stats`]).
+    /// Aggregate fusion + uniform statistics for the metrics path
+    /// (see [`ExecStats::of`]).
     pub fn static_exec_stats(&self) -> ExecStats {
-        let mut fuse = FuseStats::default();
-        for fk in &self.fused {
-            fuse.accumulate(&fk.stats);
-        }
-        let (uniform_slots, total_slots) = self
-            .uniform
-            .as_ref()
-            .map(|u| (u.uniform_count() as u64, u.total_count() as u64))
-            .unwrap_or((0, 0));
-        ExecStats {
-            fuse,
-            uniform_slots,
-            total_slots,
-            scalar_ops_per_cycle: 0.0,
-        }
+        ExecStats::of(&self.fused, self.uniform.as_ref())
     }
 
     /// Number of kernels.
@@ -178,7 +153,7 @@ impl GpuRuntime {
     /// Build a runtime with an explicit functional-execution strategy.
     pub fn with_exec(model: GpuModel, exec: ExecConfig) -> Self {
         let sm = Resource::new("gpu", model.sms);
-        let par_scratch = (0..exec.thread_count()).map(|_| Scratch::new()).collect();
+        let par_scratch = exec.scratch_pool();
         GpuRuntime {
             model,
             sm,
@@ -221,72 +196,23 @@ impl GpuRuntime {
     ) -> CycleTiming {
         // Functional execution (identical for both modes and all
         // strategies — bit-exactness is enforced by differential tests),
-        // then timing.
-        match self.exec.strategy {
-            ExecStrategy::Scalar => {
-                for &k in &graph.order {
-                    execute_kernel(&graph.ir.kernels[k], dev, scratch, tid0, group);
-                }
-            }
-            ExecStrategy::Vectorized => {
-                execute_ordered(
-                    &graph.fused,
-                    &graph.order,
-                    dev,
-                    scratch,
-                    tid0,
-                    group,
-                    self.exec.lane_chunk,
-                );
-                self.scalar_ops += std::mem::take(&mut scratch.scalar_ops);
-            }
-            ExecStrategy::BlockParallel { block, .. } => {
-                execute_ordered_parallel(
-                    &graph.fused,
-                    &graph.order,
-                    dev,
-                    &mut self.par_scratch,
-                    tid0,
-                    group,
-                    block,
-                    self.exec.lane_chunk,
-                );
-                for s in &mut self.par_scratch {
-                    self.scalar_ops += std::mem::take(&mut s.scalar_ops);
-                }
-            }
-            ExecStrategy::BitPlane { block, .. } => match &graph.bit {
-                Some(bit) => {
-                    run_bitplane_cycle(
-                        bit,
-                        &graph.order,
-                        dev,
-                        &mut self.par_scratch,
-                        tid0,
-                        group,
-                        block,
-                        self.exec.lane_chunk,
-                    );
-                    for s in &mut self.par_scratch {
-                        self.scalar_ops += std::mem::take(&mut s.scalar_ops);
-                    }
-                }
-                None => {
-                    // No layout was compiled for this graph: run the
-                    // vectorized engine, which is bit-identical.
-                    execute_ordered(
-                        &graph.fused,
-                        &graph.order,
-                        dev,
-                        scratch,
-                        tid0,
-                        group,
-                        self.exec.lane_chunk,
-                    );
-                    self.scalar_ops += std::mem::take(&mut scratch.scalar_ops);
-                }
-            },
-        }
+        // then timing. Serial strategies run on the caller's scratch.
+        let scratches = if self.par_scratch.len() > 1 {
+            &mut self.par_scratch[..]
+        } else {
+            std::slice::from_mut(scratch)
+        };
+        self.scalar_ops += run_order(
+            &graph.ir.kernels,
+            &graph.fused,
+            graph.bit.as_ref(),
+            &graph.order,
+            dev,
+            scratches,
+            tid0,
+            group,
+            &self.exec,
+        );
         self.cycles += 1;
         self.time_cycle(graph, mode, group, ready, trace)
     }

@@ -35,7 +35,7 @@ pub use bitplane::{
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use device::{execute_kernel, DeviceMemory, Scratch};
 pub use exec::{
-    execute_fused, execute_ordered, execute_ordered_parallel, ExecConfig, ExecSpecError,
+    execute_fused, execute_ordered, execute_ordered_parallel, run_order, ExecConfig, ExecSpecError,
     ExecStrategy, DEFAULT_BLOCK, DEFAULT_LANE_CHUNK,
 };
 pub use fuse::{

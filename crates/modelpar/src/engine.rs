@@ -18,10 +18,7 @@
 
 use crate::boundary::BoundaryCodec;
 use crate::subdesign::{build_subdesign, SubDesign};
-use cudasim::{
-    execute_kernel, execute_ordered, execute_ordered_parallel, DeviceMemory, ExecConfig,
-    ExecStrategy, Scratch,
-};
+use cudasim::{DeviceMemory, ExecConfig, Scratch};
 use partition::PartitionSpec;
 use rtlir::{Design, RtlGraph, VarId};
 use transpile::{default_partition, KernelProgram};
@@ -175,38 +172,17 @@ impl PartEngine {
         group: usize,
         exec: &ExecConfig,
     ) {
-        match exec.strategy {
-            ExecStrategy::Scalar => {
-                for &e in phase {
-                    execute_kernel(
-                        &self.program.graph.kernels[e],
-                        dev,
-                        &mut scratches[0],
-                        tid0,
-                        group,
-                    );
-                }
-            }
-            ExecStrategy::Vectorized | ExecStrategy::BitPlane { .. } => execute_ordered(
-                &self.program.fused,
-                phase,
-                dev,
-                &mut scratches[0],
-                tid0,
-                group,
-                exec.lane_chunk,
-            ),
-            ExecStrategy::BlockParallel { block, .. } => execute_ordered_parallel(
-                &self.program.fused,
-                phase,
-                dev,
-                scratches,
-                tid0,
-                group,
-                block,
-                exec.lane_chunk,
-            ),
-        }
+        cudasim::run_order(
+            &self.program.graph.kernels,
+            &self.program.fused,
+            None,
+            phase,
+            dev,
+            scratches,
+            tid0,
+            group,
+            exec,
+        );
     }
 
     /// Pack this part's exports for lanes `0..n` of `dev`.

@@ -62,14 +62,8 @@ pub fn simulate_modelpar(
             .iter()
             .map(|e| e.program.plan.alloc_device(len))
             .collect();
-        let mut scratches: Vec<Vec<Scratch>> = engines
-            .iter()
-            .map(|_| {
-                (0..exec.thread_count().max(1))
-                    .map(|_| Scratch::new())
-                    .collect()
-            })
-            .collect();
+        let mut scratches: Vec<Vec<Scratch>> =
+            engines.iter().map(|_| exec.scratch_pool()).collect();
         // Exports extracted at the end of the previous cycle, per part.
         let mut in_flight: Vec<Option<Vec<u8>>> = vec![None; k];
 

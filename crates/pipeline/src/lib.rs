@@ -7,18 +7,23 @@
 //! overlaps group *j*'s GPU stage, which is exactly what keeps the GPU at
 //! ~100% utilization in Figure 15.
 //!
-//! Two implementations share the same functional semantics:
+//! Two halves that share nothing but the group split:
 //!
-//! * [`simulate_batch`] — the virtual-time executor: bit-exact kernels +
-//!   discrete-event timing (CPU thread pool + SM pool + launch costs).
-//!   Every table/figure number comes from here.
-//! * [`threaded`] — a real thread-based pipeline (producer threads
-//!   filling input frames, a consumer draining them into the functional
-//!   device), demonstrating the actual overlap machinery on host silicon.
+//! * [`GroupRunner`] — the functional half: one group's bit-exact
+//!   `set_inputs` / `evaluate` cycle on its own device image. Every
+//!   layer that executes kernels (this crate, `shard`, the cluster
+//!   worker, the probes) steps groups through it.
+//! * [`model_batch`] — the virtual clock: discrete-event timing of the
+//!   same groups (CPU thread pool + SM pool + launch costs). Every
+//!   table/figure number comes from here.
+//!
+//! [`simulate_batch`] runs the first, then the second.
 
-pub mod threaded;
+mod runner;
 
-use cudasim::{CudaGraph, ExecConfig, ExecMode, ExecStats, GpuModel, GpuRuntime, Scratch};
+pub use runner::{restore_image, GroupRunner, Resume};
+
+use cudasim::{CudaGraph, ExecConfig, ExecMode, ExecStats, GpuModel, GpuRuntime};
 use desim::{Resource, Time, Trace};
 use rtlir::Design;
 use stimulus::{PortMap, StackedSource, StimulusSource};
@@ -111,8 +116,13 @@ pub struct SimResult {
     pub exec: ExecStats,
 }
 
-/// Run `cycles` of `source` through `program` under `cfg`, functionally
-/// executing every kernel and modeling time on the virtual platform.
+/// Run `cycles` of `source` through `program` under `cfg`: every group
+/// functionally, start to finish on its own device image, then the
+/// virtual clock over the same groups.
+///
+/// The functional pass comes first and drops each group's image before
+/// the next, so the model's trace is never resident together with a
+/// device image; modelling first raises peak RSS (DESIGN.md §17).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batch(
     design: &Design,
@@ -124,17 +134,25 @@ pub fn simulate_batch(
     cfg: &PipelineConfig,
     model: &GpuModel,
 ) -> SimResult {
-    run_batch(
-        Some((design, source)),
-        program,
-        graph,
-        map.len(),
-        map,
-        source.num_stimulus(),
-        cycles,
-        cfg,
-        model,
-    )
+    let n = source.num_stimulus();
+    let (group_size, num_groups) = group_split(cfg, n);
+    let mut digests = Vec::with_capacity(n);
+    let mut scalar_ops = 0u64;
+    for g in 0..num_groups {
+        let (tid0, len) = group_range(g, group_size, n);
+        let mut runner = GroupRunner::new(program, cfg.exec, len);
+        for _ in 0..cycles {
+            runner.poke_source(map, source, tid0);
+            runner.step();
+        }
+        digests.extend(runner.digests(design));
+        scalar_ops += runner.scalar_ops();
+    }
+    let mut result = model_batch(program, graph, map.len(), n, cycles, cfg, model);
+    result.digests = digests;
+    let steps = (num_groups as u64 * cycles).max(1);
+    result.exec.scalar_ops_per_cycle = scalar_ops as f64 / steps as f64;
+    result
 }
 
 /// Result of a coalesced multi-job batch run: the shared [`SimResult`]
@@ -174,10 +192,11 @@ pub fn simulate_batch_jobs(
     JobBatchResult { sim, ranges }
 }
 
-/// Timing-only variant: identical scheduling model, but kernels are not
-/// functionally executed and no digests are produced. Used to extrapolate
-/// table-scale workloads (e.g. 65536 stimulus x 500K cycles) from a
-/// steady-state sample, since modeled time is independent of signal data.
+/// The virtual clock alone: the scheduling model of one batch, with no
+/// kernel executed and no digests. Modeled time is independent of signal
+/// data, so this is also how table-scale workloads (e.g. 65536 stimulus
+/// x 500K cycles) are extrapolated from a steady-state sample. Only the
+/// lane count of the port map enters timing.
 pub fn model_batch(
     program: &KernelProgram,
     graph: &CudaGraph,
@@ -187,46 +206,11 @@ pub fn model_batch(
     cfg: &PipelineConfig,
     model: &GpuModel,
 ) -> SimResult {
-    // A dummy port map is not needed: only the lane count enters timing.
-    let map = PortMap { ports: Vec::new() };
-    run_batch(
-        None,
-        program,
-        graph,
-        input_lanes,
-        &map,
-        n,
-        cycles,
-        cfg,
-        model,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    functional: Option<(&Design, &dyn StimulusSource)>,
-    program: &KernelProgram,
-    graph: &CudaGraph,
-    input_lanes: usize,
-    map: &PortMap,
-    n: usize,
-    cycles: u64,
-    cfg: &PipelineConfig,
-    model: &GpuModel,
-) -> SimResult {
-    let group_size = cfg.group_size.max(1).min(n.max(1));
-    let num_groups = n.div_ceil(group_size).max(1);
-
-    // Device memory only exists when kernels actually execute.
-    let mut dev = program
-        .plan
-        .alloc_device(if functional.is_some() { n } else { 1 });
-    let mut scratch = Scratch::new();
-    let mut rt = GpuRuntime::with_exec(model.clone(), cfg.exec);
+    let (group_size, num_groups) = group_split(cfg, n);
+    let mut rt = GpuRuntime::new(model.clone());
     let mut cpu = Resource::new("cpu", cfg.host.threads);
     let mut trace = Trace::new();
 
-    let mut frame = vec![0u64; map.len()];
     // Per-group completion time of the previous cycle's GPU stage, and of
     // the cycle before that (input double-buffering lets `set_inputs` for
     // cycle c+1 overlap the GPU evaluating cycle c).
@@ -236,7 +220,7 @@ fn run_batch(
     let mut barrier = 0 as Time;
 
     let lane_cost = input_lanes as u64 * cfg.host.lane_ns;
-    for c in 0..cycles {
+    for _ in 0..cycles {
         if !cfg.pipelined {
             // RTLflow¬p: set inputs for ALL stimulus (parallel over host
             // threads), then launch every group; one global barrier.
@@ -249,23 +233,8 @@ fn run_batch(
             }
             let mut cycle_end = set_done;
             for g in 0..num_groups {
-                let (tid0, len) = group_range(g, group_size, n);
-                let t = match functional {
-                    Some((_, source)) => {
-                        apply_inputs(program, map, source, &mut dev, &mut frame, tid0, len, c);
-                        rt.run_cycle(
-                            graph,
-                            cfg.mode,
-                            &mut dev,
-                            &mut scratch,
-                            tid0,
-                            len,
-                            set_done,
-                            Some(&mut trace),
-                        )
-                    }
-                    None => rt.time_cycle(graph, cfg.mode, len, set_done, Some(&mut trace)),
-                };
+                let (_, len) = group_range(g, group_size, n);
+                let t = rt.time_cycle(graph, cfg.mode, len, set_done, Some(&mut trace));
                 cycle_end = cycle_end.max(t.gpu_end);
             }
             barrier = cycle_end;
@@ -276,7 +245,7 @@ fn run_batch(
             // GPU to have finished cycle c-2 (freeing the input buffer),
             // so it overlaps the GPU evaluating cycle c-1.
             for g in 0..num_groups {
-                let (tid0, len) = group_range(g, group_size, n);
+                let (_, len) = group_range(g, group_size, n);
                 let set_ready = group_gpu_done_prev[g];
                 let workers = cfg.host.workers_per_group.max(1).min(len);
                 let dur = (len as u64 * lane_cost).div_ceil(workers as u64).max(1);
@@ -286,22 +255,7 @@ fn run_batch(
                     set_done = set_done.max(e);
                 }
                 let gpu_ready = set_done.max(group_gpu_done[g]);
-                let t = match functional {
-                    Some((_, source)) => {
-                        apply_inputs(program, map, source, &mut dev, &mut frame, tid0, len, c);
-                        rt.run_cycle(
-                            graph,
-                            cfg.mode,
-                            &mut dev,
-                            &mut scratch,
-                            tid0,
-                            len,
-                            gpu_ready,
-                            Some(&mut trace),
-                        )
-                    }
-                    None => rt.time_cycle(graph, cfg.mode, len, gpu_ready, Some(&mut trace)),
-                };
+                let t = rt.time_cycle(graph, cfg.mode, len, gpu_ready, Some(&mut trace));
                 group_gpu_done_prev[g] = group_gpu_done[g];
                 group_gpu_done[g] = t.gpu_end;
             }
@@ -313,50 +267,30 @@ fn run_batch(
     } else {
         barrier
     };
-    let digests: Vec<u64> = match functional {
-        Some((design, _)) => (0..n)
-            .map(|s| program.plan.output_digest(&dev, design, s))
-            .collect(),
-        None => Vec::new(),
-    };
     let gpu_utilization = trace.utilization("gpu", makespan);
     let breakdown_cpu = trace.breakdown("cpu");
     let set_inputs_busy = breakdown_cpu.get("set_inputs").copied().unwrap_or(0);
     let evaluate_busy: Time = trace.breakdown("gpu").values().sum();
-    let exec = rt.exec_stats(graph);
     SimResult {
         makespan,
         trace,
-        digests,
+        digests: Vec::new(),
         gpu_utilization,
         set_inputs_busy,
         evaluate_busy,
-        exec,
+        exec: program.exec_stats(),
     }
+}
+
+/// `(group size, group count)` of an `n`-stimulus batch under `cfg`.
+fn group_split(cfg: &PipelineConfig, n: usize) -> (usize, usize) {
+    let group_size = cfg.group_size.max(1).min(n.max(1));
+    (group_size, n.div_ceil(group_size).max(1))
 }
 
 fn group_range(g: usize, group_size: usize, n: usize) -> (usize, usize) {
     let tid0 = g * group_size;
     (tid0, group_size.min(n - tid0))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_inputs(
-    program: &KernelProgram,
-    map: &PortMap,
-    source: &dyn StimulusSource,
-    dev: &mut cudasim::DeviceMemory,
-    frame: &mut [u64],
-    tid0: usize,
-    len: usize,
-    cycle: u64,
-) {
-    for s in tid0..tid0 + len {
-        source.fill_frame(s, cycle, frame);
-        for (lane, port) in map.ports.iter().enumerate() {
-            program.plan.poke(dev, port.var, s, frame[lane]);
-        }
-    }
 }
 
 /// Timing model for a multi-GPU host (the paper's future-work scale-out):
@@ -408,12 +342,7 @@ pub fn model_batch_multi_gpu(
 /// transpiler's default partition.
 pub fn prepare(design: &Design, model: &GpuModel) -> Result<(KernelProgram, CudaGraph), String> {
     let program = transpile::transpile(design)?;
-    let graph = CudaGraph::instantiate_full(
-        program.graph.clone(),
-        model,
-        Some(program.uniform.clone()),
-        Some(program.bit.clone()),
-    )?;
+    let graph = program.instantiate(model)?;
     Ok((program, graph))
 }
 

@@ -27,9 +27,9 @@
 
 use std::collections::VecDeque;
 
-use cudasim::{CudaGraph, ExecConfig, ExecMode, GpuRuntime, Scratch};
+use cudasim::{CudaGraph, ExecConfig, ExecMode, GpuRuntime};
 use desim::{Resource, Time, Trace};
-use pipeline::HostModel;
+use pipeline::{GroupRunner, HostModel};
 use rtlir::Design;
 use stimulus::{PortMap, StackedSource, StimulusSource};
 use transpile::KernelProgram;
@@ -115,11 +115,10 @@ pub fn shard_batch(
     pool: &DevicePool,
 ) -> ShardResult {
     run_sharded(
-        Some((design, source)),
+        Some((design, map, source)),
         program,
         graph,
         map.len(),
-        map,
         source.num_stimulus(),
         cycles,
         cfg,
@@ -139,18 +138,7 @@ pub fn model_shard_batch(
     cfg: &ShardConfig,
     pool: &DevicePool,
 ) -> ShardResult {
-    let map = PortMap { ports: Vec::new() };
-    run_sharded(
-        None,
-        program,
-        graph,
-        input_lanes,
-        &map,
-        n,
-        cycles,
-        cfg,
-        pool,
-    )
+    run_sharded(None, program, graph, input_lanes, n, cycles, cfg, pool)
 }
 
 /// Run several pre-grouped jobs as ONE sharded launch over the same DUT.
@@ -200,21 +188,23 @@ struct DeviceState {
 
 /// Immutable per-run context threaded through group execution.
 struct ExecCtx<'a> {
-    functional: Option<(&'a Design, &'a dyn StimulusSource)>,
+    /// Design, port map and stimulus of a functional run; `None` is a
+    /// timing-only sweep.
+    functional: Option<(&'a Design, &'a PortMap, &'a dyn StimulusSource)>,
     program: &'a KernelProgram,
-    map: &'a PortMap,
     input_lanes: usize,
     cycles: u64,
     cfg: &'a ShardConfig,
+    /// `cfg.exec`, or the design's tuned exec when that is the default.
+    exec: ExecConfig,
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_sharded(
-    functional: Option<(&Design, &dyn StimulusSource)>,
+    functional: Option<(&Design, &PortMap, &dyn StimulusSource)>,
     program: &KernelProgram,
     graph: &CudaGraph,
     input_lanes: usize,
-    map: &PortMap,
     n: usize,
     cycles: u64,
     cfg: &ShardConfig,
@@ -239,7 +229,7 @@ fn run_sharded(
     // (an explicit strategy always wins) and the run is functional — a
     // timing-only sweep has no design to key the cache with.
     let exec = match functional {
-        Some((design, _)) if cfg.exec == ExecConfig::default() => autotune::resolve_exec(
+        Some((design, ..)) if cfg.exec == ExecConfig::default() => autotune::resolve_exec(
             cfg.exec,
             cfg.tuned.lookup(rtlir::design_hash(design)).as_ref(),
         ),
@@ -257,7 +247,7 @@ fn run_sharded(
                 .reinstantiate(&model)
                 .expect("pool re-instantiates an already-validated graph");
             DeviceState {
-                rt: GpuRuntime::with_exec(model, exec),
+                rt: GpuRuntime::new(model),
                 graph: dgraph,
                 cpu: Resource::new("cpu", threads_per_device),
                 cpu_trace: Trace::new(),
@@ -286,10 +276,10 @@ fn run_sharded(
     let ctx = ExecCtx {
         functional,
         program,
-        map,
         input_lanes,
         cycles,
         cfg,
+        exec,
     };
 
     // Event loop: always advance the device that frees up earliest —
@@ -412,11 +402,12 @@ fn run_sharded(
     }
 }
 
-/// Run one group start-to-finish on `dev`: per-cycle two-stage pipeline
-/// with double-buffered inputs (`set_inputs(c)` waits only for the GPU
-/// to have finished cycle `c-2`), a group-local device memory with local
-/// thread ids, and *global* stimulus ids into the source — which is what
-/// makes results independent of placement.
+/// Run one group start-to-finish on `dev`. Timing first: a per-cycle
+/// two-stage pipeline with double-buffered inputs (`set_inputs(c)` waits
+/// only for the GPU to have finished cycle `c-2`). Then, on a functional
+/// run, the group itself through a [`GroupRunner`]: a group-local device
+/// image with local thread ids, and *global* stimulus ids into the
+/// source — which is what makes results independent of placement.
 fn run_group(
     ctx: &ExecCtx<'_>,
     dev: &mut DeviceState,
@@ -425,16 +416,13 @@ fn run_group(
     digests: &mut [u64],
 ) -> Time {
     let len = item.len;
-    let mut local = ctx.functional.map(|_| ctx.program.plan.alloc_device(len));
-    let mut scratch = Scratch::new();
-    let mut frame = vec![0u64; ctx.map.len()];
     let lane_cost = ctx.input_lanes as u64 * ctx.cfg.host.lane_ns;
     let workers = ctx.cfg.host.workers_per_group.max(1).min(len);
     let dur = (len as u64 * lane_cost).div_ceil(workers as u64).max(1);
 
     let mut gpu_done = start;
     let mut gpu_done_prev = start;
-    for c in 0..ctx.cycles {
+    for _ in 0..ctx.cycles {
         let set_ready = gpu_done_prev;
         let mut set_done = set_ready;
         for _ in 0..workers {
@@ -444,88 +432,28 @@ fn run_group(
             set_done = set_done.max(e);
         }
         let gpu_ready = set_done.max(gpu_done);
-        let t = match (ctx.functional, local.as_mut()) {
-            (Some((_, source)), Some(local)) => {
-                for i in 0..len {
-                    source.fill_frame(item.tid0 + i, c, &mut frame);
-                    for (lane, port) in ctx.map.ports.iter().enumerate() {
-                        ctx.program.plan.poke(local, port.var, i, frame[lane]);
-                    }
-                }
-                dev.rt.run_cycle(
-                    &dev.graph,
-                    ctx.cfg.mode,
-                    local,
-                    &mut scratch,
-                    0,
-                    len,
-                    gpu_ready,
-                    Some(&mut dev.trace),
-                )
-            }
-            _ => dev.rt.time_cycle(
-                &dev.graph,
-                ctx.cfg.mode,
-                len,
-                gpu_ready,
-                Some(&mut dev.trace),
-            ),
-        };
+        let t = dev.rt.time_cycle(
+            &dev.graph,
+            ctx.cfg.mode,
+            len,
+            gpu_ready,
+            Some(&mut dev.trace),
+        );
         gpu_done_prev = gpu_done;
         gpu_done = t.gpu_end;
     }
 
     // Commit only on completion: a faulted device never reaches here for
     // its in-flight group, so partial work cannot leak into results.
-    if let (Some((design, _)), Some(local)) = (ctx.functional, local.as_ref()) {
-        for i in 0..len {
-            digests[item.tid0 + i] = ctx.program.plan.output_digest(local, design, i);
+    if let Some((design, map, source)) = ctx.functional {
+        let mut runner = GroupRunner::new(ctx.program, ctx.exec, len);
+        for _ in 0..ctx.cycles {
+            runner.poke_source(map, source, item.tid0);
+            runner.step();
         }
+        digests[item.tid0..item.tid0 + len].copy_from_slice(&runner.digests(design));
     }
     gpu_done
-}
-
-/// Functionally execute cycles `[start_cycle, cycles)` of the global
-/// stimulus range `[tid0, tid0 + len)` over an *existing* group-local
-/// device image, and return the range's output digests.
-///
-/// This is the resume half of the checkpoint/resume contract: restore a
-/// [`cudasim::Checkpoint`] into a fresh `plan.alloc_device(len)` image,
-/// then call this with the checkpoint's cycle. Because each cycle is a
-/// pure function of (device state, that cycle's input frames) and the
-/// source is a pure function of `(stimulus id, cycle)`, the digests are
-/// bit-identical to an uninterrupted run from cycle 0 — the property
-/// `snapshot_resume_matches_uninterrupted_run` pins down and the
-/// cluster's mid-batch recovery relies on.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_group_exec(
-    design: &Design,
-    program: &KernelProgram,
-    map: &PortMap,
-    source: &dyn StimulusSource,
-    dev: &mut cudasim::DeviceMemory,
-    tid0: usize,
-    len: usize,
-    start_cycle: u64,
-    cycles: u64,
-    exec: &ExecConfig,
-) -> Vec<u64> {
-    let mut scratches: Vec<Scratch> = (0..exec.thread_count().max(1))
-        .map(|_| Scratch::new())
-        .collect();
-    let mut frame = vec![0u64; map.len()];
-    for c in start_cycle..cycles {
-        for i in 0..len {
-            source.fill_frame(tid0 + i, c, &mut frame);
-            for (lane, port) in map.ports.iter().enumerate() {
-                program.plan.poke(dev, port.var, i, frame[lane]);
-            }
-        }
-        program.run_cycle_exec(dev, &mut scratches, 0, len, exec);
-    }
-    (0..len)
-        .map(|i| program.plan.output_digest(dev, design, i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -736,51 +664,6 @@ mod tests {
         );
         assert!(r.digests.is_empty());
         assert!(r.makespan > 0);
-    }
-
-    #[test]
-    fn snapshot_resume_matches_uninterrupted_run() {
-        let (design, program, _, map, src) = setup(13);
-        let exec = ExecConfig::default();
-        let hash = rtlir::design_hash(&design);
-        let (tid0, len, cycles, k) = (4usize, 9usize, 20u64, 7u64);
-
-        // Uninterrupted run of the range.
-        let mut dev = program.plan.alloc_device(len);
-        let golden = resume_group_exec(
-            &design, &program, &map, &src, &mut dev, tid0, len, 0, cycles, &exec,
-        );
-
-        // Run to cycle k, checkpoint through the full encode/decode wire
-        // path, restore into a brand-new device image, resume to the end.
-        let mut first = program.plan.alloc_device(len);
-        resume_group_exec(
-            &design, &program, &map, &src, &mut first, tid0, len, 0, k, &exec,
-        );
-        let image = cudasim::Checkpoint::capture(&first, hash, k, tid0 as u64).encode();
-        drop(first);
-
-        let ck = cudasim::Checkpoint::decode(&image).expect("image round-trips");
-        assert_eq!(ck.cycle, k);
-        assert_eq!(ck.design_hash, hash);
-        let mut resumed_dev = program.plan.alloc_device(len);
-        ck.restore_into(&mut resumed_dev).expect("shape matches");
-        let resumed = resume_group_exec(
-            &design,
-            &program,
-            &map,
-            &src,
-            &mut resumed_dev,
-            tid0,
-            len,
-            ck.cycle,
-            cycles,
-            &exec,
-        );
-        assert_eq!(
-            resumed, golden,
-            "resume from a checkpoint must be bit-identical to the uninterrupted run"
-        );
     }
 
     #[test]

@@ -22,8 +22,7 @@ mod metrics;
 mod pool;
 
 pub use exec::{
-    model_shard_batch, resume_group_exec, shard_batch, shard_batch_jobs, ShardConfig,
-    ShardJobResult, ShardResult,
+    model_shard_batch, shard_batch, shard_batch_jobs, ShardConfig, ShardJobResult, ShardResult,
 };
 pub use fault::FaultSpec;
 pub use metrics::{DeviceReport, ShardMetrics};

@@ -18,9 +18,8 @@ use std::collections::{HashMap, HashSet};
 
 use cudasim::fuse::fuse_graph_with;
 use cudasim::{
-    execute_kernel, execute_ordered, execute_ordered_parallel, run_bitplane_cycle, BitLayout,
-    DeviceMemory, ExecConfig, ExecStats, ExecStrategy, FuseConfig, FuseStats, FusedKernel, Kernel,
-    Scratch, SlotUniform, TaskGraphIr, DEFAULT_LANE_CHUNK,
+    execute_ordered, BitLayout, CudaGraph, DeviceMemory, ExecConfig, ExecStats, FuseConfig,
+    FusedKernel, GpuModel, Kernel, Scratch, SlotUniform, TaskGraphIr, DEFAULT_LANE_CHUNK,
 };
 use rtlir::graph::NodeId;
 use rtlir::{Design, ProcessKind, RtlGraph};
@@ -64,7 +63,7 @@ pub struct KernelProgram {
     pub uniform: SlotUniform,
     /// Fused per-kernel programs (built once here, cached for every cycle).
     pub fused: Vec<FusedKernel>,
-    /// Bit-transposed layout for [`ExecStrategy::BitPlane`] execution
+    /// Bit-transposed layout for [`cudasim::ExecStrategy::BitPlane`] execution
     /// (1-bit control signals packed 64 stimuli per word).
     pub bit: BitLayout,
 }
@@ -228,7 +227,8 @@ impl KernelProgram {
     /// Execute one full cycle functionally (inputs must already be poked).
     ///
     /// Runs the fused + vectorized + uniform-specialized executor — the
-    /// default hot path, bit-identical to [`KernelProgram::run_cycle_scalar`].
+    /// default hot path, bit-identical to the scalar reference interpreter
+    /// ([`KernelProgram::run_cycle_exec`] under `ExecConfig::scalar()`).
     pub fn run_cycle_functional(
         &self,
         dev: &mut DeviceMemory,
@@ -247,22 +247,9 @@ impl KernelProgram {
         );
     }
 
-    /// Execute one cycle with the scalar reference interpreter (the
-    /// pre-fusion semantics the differential tests compare against).
-    pub fn run_cycle_scalar(
-        &self,
-        dev: &mut DeviceMemory,
-        scratch: &mut Scratch,
-        tid0: usize,
-        group: usize,
-    ) {
-        for &k in &self.order {
-            execute_kernel(&self.graph.kernels[k], dev, scratch, tid0, group);
-        }
-    }
-
     /// Execute one cycle under an explicit strategy. `scratches` must hold
     /// at least one element (one per worker for block-parallel execution).
+    /// Returns the ops computed once as scalars instead of once per lane.
     pub fn run_cycle_exec(
         &self,
         dev: &mut DeviceMemory,
@@ -270,53 +257,33 @@ impl KernelProgram {
         tid0: usize,
         group: usize,
         exec: &ExecConfig,
-    ) {
-        match exec.strategy {
-            ExecStrategy::Scalar => self.run_cycle_scalar(dev, &mut scratches[0], tid0, group),
-            ExecStrategy::Vectorized => execute_ordered(
-                &self.fused,
-                &self.order,
-                dev,
-                &mut scratches[0],
-                tid0,
-                group,
-                exec.lane_chunk,
-            ),
-            ExecStrategy::BlockParallel { block, .. } => execute_ordered_parallel(
-                &self.fused,
-                &self.order,
-                dev,
-                scratches,
-                tid0,
-                group,
-                block,
-                exec.lane_chunk,
-            ),
-            ExecStrategy::BitPlane { block, .. } => run_bitplane_cycle(
-                &self.bit,
-                &self.order,
-                dev,
-                scratches,
-                tid0,
-                group,
-                block,
-                exec.lane_chunk,
-            ),
-        }
+    ) -> u64 {
+        cudasim::run_order(
+            &self.graph.kernels,
+            &self.fused,
+            Some(&self.bit),
+            &self.order,
+            dev,
+            scratches,
+            tid0,
+            group,
+            exec,
+        )
+    }
+
+    /// Instantiate this program's task graph as a CUDA graph on `model`.
+    pub fn instantiate(&self, model: &GpuModel) -> Result<CudaGraph, String> {
+        CudaGraph::instantiate_full(
+            self.graph.clone(),
+            model,
+            Some(self.uniform.clone()),
+            Some(self.bit.clone()),
+        )
     }
 
     /// Static fusion + uniform statistics of the cached program.
     pub fn exec_stats(&self) -> ExecStats {
-        let mut fuse = FuseStats::default();
-        for fk in &self.fused {
-            fuse.accumulate(&fk.stats);
-        }
-        ExecStats {
-            fuse,
-            uniform_slots: self.uniform.uniform_count() as u64,
-            total_slots: self.uniform.total_count() as u64,
-            scalar_ops_per_cycle: 0.0,
-        }
+        ExecStats::of(&self.fused, Some(&self.uniform))
     }
 
     /// Total static ops across all kernels of one cycle.

@@ -6,10 +6,24 @@
 //! cargo run --release --example coverage_closure
 //! ```
 
-use cudasim::Scratch;
-use rtlflow::{Benchmark, Flow, PortMap, RiscvSource};
-use stimulus::StimulusSource;
+use rtlflow::{Benchmark, ExecConfig, Flow, GroupRunner, PortMap, RiscvSource};
 use transpile::ToggleCoverage;
+
+/// Toggle coverage of `n` fuzzed stimulus after `cycles` cycles, sampled
+/// every `every` cycles.
+fn coverage(flow: &Flow, map: &PortMap, n: usize, cycles: u64, every: u64) -> ToggleCoverage {
+    let source = RiscvSource::new(map, n, 0xc073u64);
+    let mut runner = GroupRunner::new(&flow.program, ExecConfig::default(), n);
+    let mut cov = ToggleCoverage::new(&flow.design);
+    for c in 0..cycles {
+        runner.poke_source(map, &source, 0);
+        runner.step();
+        if c % every == every - 1 {
+            cov.sample(&flow.design, &flow.program.plan, runner.dev(), 0, n);
+        }
+    }
+    cov
+}
 
 fn main() {
     let flow = Flow::from_benchmark(Benchmark::RiscvMini).expect("build riscv-mini");
@@ -21,25 +35,8 @@ fn main() {
 
     let mut last = 0.0;
     for n in [1usize, 4, 16, 64, 256] {
-        let source = RiscvSource::new(&map, n, 0xc073u64);
-        let mut dev = flow.program.plan.alloc_device(n);
-        let mut scratch = Scratch::new();
-        let mut cov = ToggleCoverage::new(&flow.design);
-        let mut frame = vec![0u64; map.len()];
-        for c in 0..cycles {
-            for s in 0..n {
-                source.fill_frame(s, c, &mut frame);
-                for (lane, port) in map.ports.iter().enumerate() {
-                    flow.program.plan.poke(&mut dev, port.var, s, frame[lane]);
-                }
-            }
-            flow.program
-                .run_cycle_functional(&mut dev, &mut scratch, 0, n);
-            // Sampling every 10 cycles keeps overhead realistic.
-            if c % 10 == 9 {
-                cov.sample(&flow.design, &flow.program.plan, &dev, 0, n);
-            }
-        }
+        // Sampling every 10 cycles keeps overhead realistic.
+        let cov = coverage(&flow, &map, n, cycles, 10);
         println!(
             "{:>8} {:>12} {:>9.1}%",
             n,
@@ -50,23 +47,7 @@ fn main() {
     }
 
     // Show where the remaining holes are at the largest batch.
-    let n = 256;
-    let source = RiscvSource::new(&map, n, 0xc073u64);
-    let mut dev = flow.program.plan.alloc_device(n);
-    let mut scratch = Scratch::new();
-    let mut cov = ToggleCoverage::new(&flow.design);
-    let mut frame = vec![0u64; map.len()];
-    for c in 0..cycles {
-        for s in 0..n {
-            source.fill_frame(s, c, &mut frame);
-            for (lane, port) in map.ports.iter().enumerate() {
-                flow.program.plan.poke(&mut dev, port.var, s, frame[lane]);
-            }
-        }
-        flow.program
-            .run_cycle_functional(&mut dev, &mut scratch, 0, n);
-        cov.sample(&flow.design, &flow.program.plan, &dev, 0, n);
-    }
+    let cov = coverage(&flow, &map, 256, cycles, 1);
     println!("\nremaining holes at n=256 (top 10):");
     for (name, bits) in cov.holes(&flow.design).into_iter().take(10) {
         println!("  {name}: uncovered bits {bits:#x}");

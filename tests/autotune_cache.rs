@@ -161,6 +161,47 @@ fn tuning_is_reproducible_and_survives_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A tuned artifact's fuse thresholds are the ones a run executes and
+/// reports: `simulate_batch` runs the tuned program's own fused kernels,
+/// not a default-threshold re-fuse of its task graph.
+#[test]
+fn tuned_fuse_thresholds_reach_simulate_batch() {
+    let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
+    let artifact = TunedArtifact {
+        fuse: cudasim::FuseConfig {
+            const_fold_min_ops: usize::MAX,
+            superop_min_ops: usize::MAX,
+        },
+        partition: autotune::PartSpec::PerLevel,
+        ..sample_artifact(rtlir::design_hash(&flow.design))
+    };
+    let (program, graph) = prepare_tuned(&flow.design, &flow.model, &artifact).unwrap();
+    assert_ne!(
+        program.exec_stats().fuse,
+        flow.program.exec_stats().fuse,
+        "the thresholds must change what the fuser does"
+    );
+    let map = PortMap::from_design(&flow.design);
+    let source = stimulus::source_for(&flow.design, &map, 24, 0x7e57);
+    let cfg = rtlflow::PipelineConfig {
+        group_size: 16,
+        ..Default::default()
+    };
+    let tuned = rtlflow::simulate_batch(
+        &flow.design,
+        &program,
+        &graph,
+        &map,
+        source.as_ref(),
+        10,
+        &cfg,
+        &flow.model,
+    );
+    assert_eq!(tuned.exec.fuse, program.exec_stats().fuse);
+    let default = flow.simulate(source.as_ref(), 10, &cfg).unwrap();
+    assert_eq!(tuned.digests, default.digests);
+}
+
 /// Every benchmark design: tune under the static cost model, rebuild the
 /// winning configuration with `prepare_tuned`, and drive both it and the
 /// untuned scalar reference with identical stimulus. The full device

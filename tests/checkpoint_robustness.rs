@@ -6,9 +6,7 @@
 //! real captured image (riscv-mini state after live cycles), so the
 //! payload exercised is the one the cluster actually ships.
 
-use rtlflow::{
-    resume_group_exec, Benchmark, Checkpoint, CheckpointError, ExecConfig, Flow, PortMap,
-};
+use rtlflow::{Benchmark, Checkpoint, CheckpointError, ExecConfig, Flow, GroupRunner, PortMap};
 
 /// FNV-1a-64, re-implemented here so tests can craft images with valid
 /// checksums but hostile headers (wrong magic/version) independently of
@@ -37,21 +35,12 @@ fn populated_checkpoint() -> (Flow, Checkpoint, Vec<u8>) {
     let map = PortMap::from_design(&flow.design);
     let n = 6;
     let source = stimulus::source_for(&flow.design, &map, n, 0xfeed);
-    let mut dev = flow.program.plan.alloc_device(n);
-    resume_group_exec(
-        &flow.design,
-        &flow.program,
-        &map,
-        source.as_ref(),
-        &mut dev,
-        0,
-        n,
-        0,
-        5,
-        &ExecConfig::default(),
-    );
-    let hash = rtlir::design_hash(&flow.design);
-    let ck = Checkpoint::capture(&dev, hash, 5, 0);
+    let mut runner = GroupRunner::new(&flow.program, ExecConfig::default(), n);
+    for _ in 0..5 {
+        runner.poke_source(&map, source.as_ref(), 0);
+        runner.step();
+    }
+    let ck = runner.checkpoint(rtlir::design_hash(&flow.design), 0);
     let image = ck.encode();
     (flow, ck, image)
 }
