@@ -5,10 +5,10 @@
 //! key/value file with a version header and an FNV-1a checksum trailer:
 //!
 //! ```text
-//! rtlflow-tuned v1
+//! rtlflow-tuned v2
 //! design_hash = 0123456789abcdef
 //! design_name = riscv-mini
-//! exec = vector@512
+//! exec = fused@512
 //! fuse = 0,16
 //! partition = merged:4
 //! seed = 42
@@ -29,10 +29,10 @@ use transpile::Partition;
 
 /// Current artifact format version. Bump on any incompatible change;
 /// older files are then ignored (treated as a cache miss), never
-/// misparsed.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// misparsed. v2: the `exec` grammar lost `vector|par|bitpar`.
+pub const ARTIFACT_VERSION: u32 = 2;
 
-const HEADER: &str = "rtlflow-tuned v1";
+const HEADER: &str = "rtlflow-tuned v2";
 
 /// How the tuned partition is re-derived from the RTL graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,6 +253,18 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// `text` with its header rewritten to version `v` and the checksum
+/// redone, so only the version differs.
+#[cfg(test)]
+pub(crate) fn reversioned(text: &str, v: u32) -> String {
+    let mut text = text.replacen(HEADER, &format!("rtlflow-tuned v{v}"), 1);
+    let body_end = text.rfind("checksum = ").unwrap();
+    let sum = fnv1a(&text.as_bytes()[..body_end]);
+    text.truncate(body_end);
+    text.push_str(&format!("checksum = {sum:016x}\n"));
+    text
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,9 +273,7 @@ mod tests {
         TunedArtifact {
             design_hash: 0xdead_beef_0123_4567,
             design_name: "riscv-mini".into(),
-            exec: ExecConfig::parallel(4)
-                .with_block(2048)
-                .with_lane_chunk(128),
+            exec: ExecConfig::fused(4).with_block(2048).with_lane_chunk(128),
             fuse: FuseConfig {
                 const_fold_min_ops: 4,
                 superop_min_ops: 16,
@@ -290,7 +300,7 @@ mod tests {
         assert_eq!(TunedArtifact::parse(&b.serialize()).unwrap(), b);
         let c = TunedArtifact {
             partition: PartSpec::PerLevel,
-            exec: ExecConfig::vectorized(),
+            exec: ExecConfig::default(),
             ..sample()
         };
         assert_eq!(TunedArtifact::parse(&c.serialize()).unwrap(), c);
@@ -324,14 +334,12 @@ mod tests {
 
     #[test]
     fn version_bump_is_a_miss() {
-        let mut text = sample().serialize().replace("v1", "v2");
-        // Re-checksum so only the version differs.
-        let body_end = text.rfind("checksum = ").unwrap();
-        let sum = fnv1a(&text.as_bytes()[..body_end]);
-        text.truncate(body_end);
-        text.push_str(&format!("checksum = {sum:016x}\n"));
-        assert!(TunedArtifact::parse(&text)
-            .unwrap_err()
-            .contains("version header"));
+        assert_eq!(HEADER, format!("rtlflow-tuned v{ARTIFACT_VERSION}"));
+        let good = sample().serialize();
+        for v in [ARTIFACT_VERSION - 1, ARTIFACT_VERSION + 1] {
+            assert!(TunedArtifact::parse(&reversioned(&good, v))
+                .unwrap_err()
+                .contains("version header"));
+        }
     }
 }

@@ -155,7 +155,7 @@ mod tests {
         TunedArtifact {
             design_hash: hash,
             design_name: "t".into(),
-            exec: ExecConfig::vectorized().with_lane_chunk(512),
+            exec: ExecConfig::default().with_lane_chunk(512),
             fuse: FuseConfig::default(),
             partition: PartSpec::PerLevel,
             seed: 1,
@@ -196,5 +196,20 @@ mod tests {
         std::fs::rename(cache.path_for(0x111), cache.path_for(0x222)).unwrap();
         assert!(cache.load(0x222).is_none());
         assert_eq!(cache.stats.rejected.load(Ordering::Relaxed), 1);
+    }
+    /// A cache written before the last format bump still holds files:
+    /// they are refused and counted, and cost a re-tune, nothing else.
+    #[test]
+    fn previous_version_entry_is_rejected_and_counted() {
+        use crate::artifact::{reversioned, ARTIFACT_VERSION};
+        let cache = TuneCache::at(tmpdir("stale-version"));
+        let path = cache.store(&art(0x333)).unwrap();
+        let stale = reversioned(
+            &std::fs::read_to_string(&path).unwrap(),
+            ARTIFACT_VERSION - 1,
+        );
+        std::fs::write(&path, stale).unwrap();
+        assert!(cache.load(0x333).is_none());
+        assert_eq!(cache.stats.snapshot(), (0, 0, 1));
     }
 }

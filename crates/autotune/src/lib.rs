@@ -3,7 +3,7 @@
 //!
 //! The GPU-flow papers pick one launch configuration per design by hand;
 //! this crate searches for it instead. A [`tune`] run probes candidate
-//! configurations — exec strategy + lane chunk + block size
+//! configurations — worker threads + lane chunk + block size
 //! ([`cudasim::ExecConfig`]), fuser thresholds ([`cudasim::FuseConfig`]),
 //! and partition shape ([`PartSpec`]) — with short seeded benchmark runs
 //! against the real executor, walks the space with simulated annealing
@@ -124,7 +124,7 @@ mod tests {
         let art = TunedArtifact {
             design_hash: 1,
             design_name: "x".into(),
-            exec: ExecConfig::vectorized().with_lane_chunk(1024),
+            exec: ExecConfig::default().with_lane_chunk(1024),
             fuse: cudasim::FuseConfig::default(),
             partition: PartSpec::PerLevel,
             seed: 0,

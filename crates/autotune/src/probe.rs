@@ -6,7 +6,7 @@
 //! whole cycles, reduce per-cycle wall times with the *median* (robust to
 //! preemption spikes on shared cores), and report throughput in
 //! stimulus-cycles/second. The harness caches built [`KernelProgram`]s
-//! per (fuse, partition) pair so exec-only mutations (strategy, lane
+//! per (fuse, partition) pair so exec-only mutations (threads, lane
 //! chunk, block size) re-use the transpiled program.
 
 use std::collections::HashMap;
@@ -156,8 +156,7 @@ impl<'a> ProbeHarness<'a> {
 
         // Per-cycle cost in abstract op units. Each kernel dispatch per
         // lane chunk pays a fixed overhead (the thing larger chunks and
-        // merged levels amortize); each fused op costs one unit per lane
-        // unless the slot analysis hoisted it to a single scalar.
+        // merged levels amortize); each fused op costs one unit per lane.
         const DISPATCH: f64 = 24.0;
         let cost = match cand.exec.strategy {
             ExecStrategy::Scalar => {
@@ -170,27 +169,10 @@ impl<'a> ProbeHarness<'a> {
                     .sum();
                 program.order.len() as f64 * DISPATCH + ops * n * 1.6
             }
-            ExecStrategy::Vectorized => {
-                let (lane_ops, hoisted) = fused_op_counts(program);
-                program.order.len() as f64 * chunks * DISPATCH + lane_ops * n + hoisted * chunks
-            }
-            ExecStrategy::BlockParallel { threads, block } => {
-                // Deterministic worker count: a `0` request means "host
-                // parallelism" at run time, which the model must not
-                // depend on — score it as a fixed 4-way machine.
-                let workers = if threads == 0 { 4.0 } else { threads as f64 };
-                let blocks = (n / (block.max(1) as f64)).ceil().max(1.0);
-                let (lane_ops, hoisted) = fused_op_counts(program);
-                let vec_cost = program.order.len() as f64 * chunks * DISPATCH
-                    + lane_ops * n
-                    + hoisted * chunks;
-                // Fork/join sync per kernel wave, plus imperfect scaling.
-                vec_cost / workers + program.order.len() as f64 * blocks * workers * 48.0
-            }
-            ExecStrategy::BitPlane { threads, block } => {
-                // Word-domain remainder costs like the vector engine; bit
-                // ops process 64 lanes per word; escapes pay a per-lane
-                // scatter each cycle.
+            ExecStrategy::Fused { threads, block } => {
+                // Word-domain ops cost one unit per lane; bit ops process
+                // 64 lanes per word; escapes pay a per-lane scatter each
+                // cycle. A zero-plane layout has only the word term.
                 let word_ops = program.bit.word_fop_count() as f64;
                 let bit_ops = program.bit.bit_op_count() as f64;
                 let escapes = program.bit.escape_count() as f64;
@@ -198,11 +180,15 @@ impl<'a> ProbeHarness<'a> {
                     + word_ops * n
                     + bit_ops * (n / 64.0).ceil()
                     + escapes * n;
-                // As above, `0` scores as a fixed 4-way machine.
+                // Deterministic worker count: a `0` request means "host
+                // parallelism" at run time, which the model must not
+                // depend on — score it as a fixed 4-way machine.
                 let workers = if threads == 0 { 4.0 } else { threads as f64 };
                 if workers <= 1.0 {
                     serial
                 } else {
+                    // Fork/join sync per kernel wave, plus imperfect
+                    // scaling.
                     let blocks = (n / (block.max(1) as f64)).ceil().max(1.0);
                     serial / workers + program.order.len() as f64 * blocks * workers * 48.0
                 }
@@ -243,17 +229,6 @@ pub fn median_throughput(
     n as f64 / median.as_secs_f64().max(1e-9)
 }
 
-/// (per-lane fused ops, hoisted-to-scalar fused ops) across the program.
-fn fused_op_counts(program: &KernelProgram) -> (f64, f64) {
-    let mut lane = 0f64;
-    let mut hoisted = 0f64;
-    for fk in &program.fused {
-        lane += fk.fops.len() as f64;
-        hoisted += fk.stats.consts_folded as f64;
-    }
-    (lane, hoisted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +245,7 @@ mod tests {
         // A different lane chunk must move the score (chunk count changes
         // dispatch overhead).
         let chunked = Candidate {
-            exec: ExecConfig::vectorized().with_lane_chunk(32),
+            exec: ExecConfig::default().with_lane_chunk(32),
             ..Candidate::default()
         };
         assert_ne!(h.static_score(&chunked).unwrap(), a);

@@ -2,7 +2,7 @@
 //!
 //! One [`tune`] call probes candidate configs against a [`ProbeHarness`]
 //! under a probe-count / wall-clock budget. Proposals mutate one
-//! dimension at a time — exec strategy, lane chunk, block size, fuser
+//! dimension at a time — worker threads and block size, lane chunk, fuser
 //! thresholds, partition shape (per-level, merged levels, or
 //! feature-weight packing) — and are accepted with the Metropolis rule so
 //! early probes explore and late probes exploit. The proposal stream is
@@ -127,10 +127,9 @@ impl TuneReport {
 /// so every proposal is a sane config.
 const LANE_CHUNKS: [usize; 8] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
 const BLOCKS: [usize; 5] = [256, 512, 1024, 2048, 4096];
-const THREADS: [usize; 4] = [0, 2, 4, 8];
-/// Bit-transposed worker menu: `1` is the serial engine (often fastest —
-/// the bit programs are tiny), `0` means host parallelism at run time.
-const BIT_THREADS: [usize; 4] = [1, 0, 2, 4];
+/// Worker menu: `1` is the serial engine (often fastest — bit programs
+/// are tiny), `0` means host parallelism at run time.
+const THREADS: [usize; 4] = [1, 0, 2, 4];
 const FUSE_MIN_OPS: [usize; 5] = [0, 4, 16, 64, 256];
 const MERGE_FACTORS: [usize; 8] = [2, 3, 4, 6, 8, 12, 16, 32];
 
@@ -141,19 +140,12 @@ fn propose(cur: &Candidate, rng: &mut SmallRng, search_partition: bool) -> Candi
         let mut next = cur.clone();
         let dims = if search_partition { 5 } else { 4 };
         match rng.gen_index(dims) {
-            // Exec strategy (block size rides along for par/bitpar).
+            // Worker threads, block size riding along. The scalar oracle
+            // is never proposed: it is the reference, not a contender.
             0 => {
-                next.exec.strategy = match rng.gen_index(4) {
-                    0 => ExecStrategy::Scalar,
-                    1 => ExecStrategy::Vectorized,
-                    2 => ExecStrategy::BlockParallel {
-                        threads: THREADS[rng.gen_index(THREADS.len())],
-                        block: BLOCKS[rng.gen_index(BLOCKS.len())],
-                    },
-                    _ => ExecStrategy::BitPlane {
-                        threads: BIT_THREADS[rng.gen_index(BIT_THREADS.len())],
-                        block: BLOCKS[rng.gen_index(BLOCKS.len())],
-                    },
+                next.exec.strategy = ExecStrategy::Fused {
+                    threads: THREADS[rng.gen_index(THREADS.len())],
+                    block: BLOCKS[rng.gen_index(BLOCKS.len())],
                 };
             }
             // Lane chunk.

@@ -7,7 +7,7 @@
 //! schedules them over TCP onto registered **workers**, each of which
 //! runs the same warm per-design engine
 //! ([`rtlir::design_hash`]-keyed) through the existing
-//! `pipeline`/`cudasim` vectorized executor and streams result chunks
+//! `pipeline`/`cudasim` fused executor and streams result chunks
 //! back as groups complete.
 //!
 //! Everything is `std`-only — `std::net::TcpStream` and a hand-rolled

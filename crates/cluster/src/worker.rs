@@ -119,7 +119,8 @@ pub struct WorkerConfig {
     /// Advertised relative throughput weight; the controller sizes this
     /// worker's initial queue share by it.
     pub capacity: u32,
-    /// Functional execution strategy for group cycles.
+    /// Functional execution config for group cycles (the scalar oracle,
+    /// or the fused engine and its thread count).
     pub exec: ExecConfig,
     /// Tuned-artifact cache policy, consulted when a batch's engine is
     /// built. A tuned design runs with its tuned partition/fuse config —

@@ -25,24 +25,25 @@ commands:
   simulate    (<file.v> --top <module> | --benchmark <name>) [-n <stimulus>]
               [-c <cycles>] [--seed <u64>] [--group <size>] [--no-pipeline]
               [--streams <k>] [--verify <count>]
-              [--exec scalar|vector|par[:N]|bitpar[:N[:B]]]
+              [--exec scalar|fused[:threads[:block]][@chunk]]
               Batch-simulate on the virtual A6000, optionally checking
-              digests against the golden interpreter.
+              digests against the golden interpreter (`scalar` is the
+              reference executor the fused engine is tested against).
   bench-exec  [--fast] [--json] [--benchmark <name>] [--tuned [<dir>|off]]
               [-o <path>]
               Measure functional-execution throughput (stimulus-cycles/s)
-              of the scalar, vectorized, block-parallel, and bit-transposed
-              executors across the benchmark designs at batch sizes
-              64/1024/8192. Designs with a cached tuned artifact get a
-              `tuned` row. With --json the output file is merged per
+              of the scalar reference and the fused engine (one thread,
+              and one per host core) across the benchmark designs at batch
+              sizes 64/1024/8192. Designs with a cached tuned artifact get
+              a `tuned` row. With --json the output file is merged per
               design: rows for designs not measured in this run are
               preserved from the existing file.
   autotune    [--benchmark <name> | --all | --fixture counter|picorv32]
               [--budget <probes>] [--budget-ms <ms>] [--seed <u64>]
               [--probe-n <stimulus>] [--probe-c <cycles>]
               [--cache-dir <dir>] [--static-cost] [--json] [-o <path>]
-              Profile-guided search over exec strategy, lane chunk,
-              fuser thresholds, and partition shape; persists the winner
+              Profile-guided search over engine threads, block size, lane
+              chunk, fuser thresholds, and partition shape; persists the winner
               in the tuned-artifact cache keyed by design hash.
   shard-sim   [--benchmark <name>] [-n <stimulus>] [-c <cycles>]
               [--gpus <k1,k2,..>] [--speeds <f1,f2,..>] [--group <size>]
@@ -62,7 +63,7 @@ commands:
               from the journal is verified bit-identical to direct runs.
   netlist-sim (<file.json> --top <module> | --fixture counter|picorv32)
               [-n <stimulus>] [-c <cycles>] [--seed <u64>] [--rewrite on|off]
-              [--exec scalar|vector|par[:N]|bitpar[:N[:B]]] [--verify <count>]
+              [--exec scalar|fused[:threads[:block]][@chunk]] [--verify <count>]
               [--json]
               Import a Yosys JSON netlist, optionally run the pattern
               rewriter, batch-simulate, and report import + rewrite stats
@@ -111,7 +112,28 @@ fn tuned_policy(args: &Args) -> rtlflow::TunePolicy {
     }
 }
 
+/// `--exec <spec>`, or the default engine.
+fn exec_config(args: &Args) -> rtlflow::ExecConfig {
+    match args.get("exec") {
+        Some(s) => rtlflow::ExecConfig::parse(s).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2)
+        }),
+        None => rtlflow::ExecConfig::default(),
+    }
+}
+
+/// `-o <path>`; a bare `-o` is a usage error.
+fn out_path(args: &Args) -> Option<&str> {
+    let path = args.get("o");
+    if path.is_none() && args.has("o") {
+        usage()
+    }
+    path
+}
+
 fn load_flow(args: &Args) -> Flow {
+    let top = args.get("top");
     if let Some(b) = args.get("benchmark") {
         return Flow::from_benchmark(benchmark_by_name(b)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -121,7 +143,7 @@ fn load_flow(args: &Args) -> Flow {
     let Some(path) = args.positional.get(1) else {
         usage()
     };
-    let Some(top) = args.get("top") else {
+    let Some(top) = top else {
         eprintln!("--top <module> is required with a Verilog file");
         exit(2)
     };
@@ -135,8 +157,8 @@ fn load_flow(args: &Args) -> Flow {
     })
 }
 
-fn write_out(args: &Args, default_name: &str, content: &str) {
-    match args.get("o") {
+fn write_out(out: Option<&str>, default_name: &str, content: &str) {
+    match out {
         Some(path) => {
             std::fs::write(path, content).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
@@ -144,7 +166,6 @@ fn write_out(args: &Args, default_name: &str, content: &str) {
             });
             eprintln!("wrote {path}");
         }
-        None if args.has("o") => usage(),
         None => {
             if content.len() > 200_000 {
                 let path = default_name;
@@ -189,6 +210,7 @@ fn main() {
             print!("{USAGE}");
         }
         "benchmarks" => {
+            args.finish();
             println!("riscv-mini   single-cycle RV32I-subset core");
             println!("spinal       3-stage pipelined core with forwarding + branch prediction");
             println!("nvdla        deep-learning accelerator, hw_small scale (8x8x4 PEs)");
@@ -199,7 +221,10 @@ fn main() {
         }
         "transpile" => {
             let flow = load_flow(&args);
-            let (text, metrics) = match args.get("emit").unwrap_or("cuda") {
+            let emit = args.get("emit").unwrap_or("cuda");
+            let out = out_path(&args);
+            args.finish();
+            let (text, metrics) = match emit {
                 "cpp" => rtlflow::emit_cpp(&flow.design),
                 _ => rtlflow::emit_cuda(&flow.design, &flow.program),
             };
@@ -211,7 +236,7 @@ fn main() {
                 metrics.cc_avg,
                 flow.cuda.len()
             );
-            write_out(&args, "out.cu", &text);
+            write_out(out, "out.cu", &text);
         }
         "simulate" => {
             let flow = load_flow(&args);
@@ -229,15 +254,11 @@ fn main() {
                     },
                     None => rtlflow::ExecMode::Graph,
                 },
-                exec: match args.get("exec") {
-                    Some(s) => rtlflow::ExecConfig::parse(s).unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2)
-                    }),
-                    None => rtlflow::ExecConfig::default(),
-                },
+                exec: exec_config(&args),
                 ..Default::default()
             };
+            let verify: Option<usize> = args.get("verify").map(|v| v.parse().unwrap_or(4));
+            args.finish();
             let t0 = std::time::Instant::now();
             let result = flow
                 .simulate(source.as_ref(), cycles, &cfg)
@@ -266,8 +287,7 @@ fn main() {
                 "uniform slots: {}/{}; scalar ops/cycle: {:.1}",
                 st.uniform_slots, st.total_slots, st.scalar_ops_per_cycle
             );
-            if let Some(v) = args.get("verify") {
-                let count: usize = v.parse().unwrap_or(4);
+            if let Some(count) = verify {
                 let checked = flow
                     .verify_against_golden(source.as_ref(), cycles.min(200), count)
                     .unwrap_or_else(|e| {
@@ -300,12 +320,14 @@ fn main() {
                 }
                 None => all_designs.to_vec(),
             };
+            let json = args.has("json");
+            let out = out_path(&args);
+            args.finish();
             let batches: [usize; 3] = [64, 1024, 8192];
-            let strategies: [(&str, ExecConfig); 4] = [
+            let strategies: [(&str, ExecConfig); 3] = [
                 ("scalar", ExecConfig::scalar()),
-                ("vectorized", ExecConfig::vectorized()),
-                ("parallel", ExecConfig::parallel(0)),
-                ("bitpar", ExecConfig::bitplane(1)),
+                ("fused", ExecConfig::fused(1)),
+                ("fused_par", ExecConfig::fused(0)),
             ];
 
             let mut design_rows: Vec<Json> = Vec::new();
@@ -369,14 +391,14 @@ fn main() {
                 design_rows.push(drow.field("batches", Json::Arr(batch_rows)));
             }
 
-            if args.has("json") {
+            if json {
                 // Merge per design instead of wholesale rewrite: rows for
                 // designs not measured in this run are carried over from
                 // the existing file in their original positions, and a
                 // re-measured design replaces its old row in place. A
                 // `--benchmark handshake` run therefore updates one row of
                 // BENCH_simt.json and leaves the other four untouched.
-                let path = args.get("o").unwrap_or("BENCH_simt.json");
+                let path = out.unwrap_or("BENCH_simt.json");
                 let mut fresh: Vec<Option<Json>> = design_rows.into_iter().map(Some).collect();
                 let take = |fresh: &mut Vec<Option<Json>>, name: &str| -> Option<Json> {
                     fresh.iter_mut().find_map(|slot| {
@@ -411,7 +433,7 @@ fn main() {
                     .field("fast", fast)
                     .field("unit", "stimulus-cycles/sec")
                     .field("designs", Json::Arr(merged));
-                write_out(&args, "BENCH_simt.json", &format!("{doc}\n"));
+                write_out(out, "BENCH_simt.json", &format!("{doc}\n"));
             } else {
                 println!(
                     "bench-exec (stimulus-cycles/sec{}):",
@@ -424,43 +446,8 @@ fn main() {
             use desim::Json;
             use rtlflow::{tune, CostSource, TuneCache, TuneConfig};
 
-            let targets: Vec<(String, rtlir::Design)> = if let Some(f) = args.get("fixture") {
-                let (src, top) = match f {
-                    "counter" => (netlist::COUNTER_JSON, "counter"),
-                    "picorv32" => (netlist::PICORV32_JSON, "picorv32"),
-                    other => {
-                        eprintln!("unknown fixture `{other}` (counter, picorv32)");
-                        exit(2)
-                    }
-                };
-                let (design, _) = netlist::import_str(src, top).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    exit(1)
-                });
-                vec![(format!("fixture-{top}"), design)]
-            } else {
-                let names: Vec<&str> = if args.has("all") {
-                    vec![
-                        "riscv-mini",
-                        "spinal",
-                        "nvdla-tiny",
-                        "picorv32",
-                        "handshake",
-                    ]
-                } else {
-                    vec![args.get("benchmark").unwrap_or("riscv-mini")]
-                };
-                names
-                    .into_iter()
-                    .map(|name| {
-                        let design = benchmark_by_name(name).elaborate().unwrap_or_else(|e| {
-                            eprintln!("error: {e}");
-                            exit(1)
-                        });
-                        (name.to_string(), design)
-                    })
-                    .collect()
-            };
+            let (fixture, all) = (args.get("fixture"), args.has("all"));
+            let benchmark = args.get("benchmark").unwrap_or("riscv-mini");
             let default_probe = rtlflow::ProbeSettings::default();
             let cfg = TuneConfig {
                 seed: args.num("seed", 42),
@@ -483,6 +470,46 @@ fn main() {
                 None => TuneCache::open_default(),
             };
             let json = args.has("json");
+            let out = out_path(&args);
+            args.finish();
+
+            let targets: Vec<(String, rtlir::Design)> = if let Some(f) = fixture {
+                let (src, top) = match f {
+                    "counter" => (netlist::COUNTER_JSON, "counter"),
+                    "picorv32" => (netlist::PICORV32_JSON, "picorv32"),
+                    other => {
+                        eprintln!("unknown fixture `{other}` (counter, picorv32)");
+                        exit(2)
+                    }
+                };
+                let (design, _) = netlist::import_str(src, top).unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    exit(1)
+                });
+                vec![(format!("fixture-{top}"), design)]
+            } else {
+                let names: Vec<&str> = if all {
+                    vec![
+                        "riscv-mini",
+                        "spinal",
+                        "nvdla-tiny",
+                        "picorv32",
+                        "handshake",
+                    ]
+                } else {
+                    vec![benchmark]
+                };
+                names
+                    .into_iter()
+                    .map(|name| {
+                        let design = benchmark_by_name(name).elaborate().unwrap_or_else(|e| {
+                            eprintln!("error: {e}");
+                            exit(1)
+                        });
+                        (name.to_string(), design)
+                    })
+                    .collect()
+            };
             let mut runs: Vec<Json> = Vec::new();
             for (name, design) in &targets {
                 let report = tune(design, name, &cfg).unwrap_or_else(|e| {
@@ -516,7 +543,7 @@ fn main() {
                 let doc = Json::obj()
                     .field("cache_dir", cache.dir().display().to_string())
                     .field("runs", Json::Arr(runs));
-                write_out(&args, "AUTOTUNE.json", &format!("{doc}\n"));
+                write_out(out, "AUTOTUNE.json", &format!("{doc}\n"));
             }
         }
         "coverage" => {
@@ -524,6 +551,7 @@ fn main() {
             let n: usize = args.num("n", 256);
             let cycles: u64 = args.num("c", 500);
             let seed: u64 = args.num("seed", 1);
+            args.finish();
             let map = PortMap::from_design(&flow.design);
             let source = stimulus::source_for(&flow.design, &map, n, seed);
             let mut runner =
@@ -540,6 +568,8 @@ fn main() {
             let flow = load_flow(&args);
             let cycles: u64 = args.num("c", 200);
             let seed: u64 = args.num("seed", 1);
+            let out = out_path(&args);
+            args.finish();
             let map = PortMap::from_design(&flow.design);
             let source = stimulus::source_for(&flow.design, &map, 1, seed);
             let mut frame = vec![0u64; map.len()];
@@ -551,44 +581,48 @@ fn main() {
                 eprintln!("error: {e}");
                 exit(1)
             });
-            write_out(&args, "wave.vcd", &vcd);
+            write_out(out, "wave.vcd", &vcd);
         }
         "graph" => {
             let flow = load_flow(&args);
+            let out = out_path(&args);
+            args.finish();
             let dot = flow.graph_info.to_dot(&flow.design);
-            write_out(&args, "rtl.dot", &dot);
+            write_out(out, "rtl.dot", &dot);
         }
         "shard-sim" => {
             use desim::Json;
             use rtlflow::{DevicePool, FaultSpec, HostModel, ShardConfig};
 
-            let flow = Flow::from_benchmark(benchmark_by_name(
-                args.get("benchmark").unwrap_or("riscv-mini"),
-            ))
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                exit(1)
-            });
+            let bench_name = args.get("benchmark").unwrap_or("riscv-mini");
             let n: usize = args.num("n", 65536);
             let cycles: u64 = args.num("c", 64);
             let group: usize = args.num("group", 1024);
             let fault_rate: f64 = args.num("fault-rate", 0.0);
+            let fault_seed: u64 = args.num("fault-seed", 1);
             let seed: u64 = args.num("seed", 1);
             let functional = args.has("functional");
-            let map = PortMap::from_design(&flow.design);
             let cfg = ShardConfig {
                 group_size: group.clamp(1, n.max(1)),
-                fault: (fault_rate > 0.0)
-                    .then(|| FaultSpec::with_rate(fault_rate, args.num("fault-seed", 1))),
+                fault: (fault_rate > 0.0).then(|| FaultSpec::with_rate(fault_rate, fault_seed)),
                 tuned: tuned_policy(&args),
                 ..Default::default()
             };
-            let pools: Vec<DevicePool> = match args.get("speeds") {
+            let (speeds, gpus) = (args.get("speeds"), args.get("gpus").unwrap_or("1,2,4"));
+            let json = args.has("json");
+            args.finish();
+
+            let flow = Flow::from_benchmark(benchmark_by_name(bench_name)).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                exit(1)
+            });
+            let map = PortMap::from_design(&flow.design);
+            let pools: Vec<DevicePool> = match speeds {
                 Some(s) => vec![DevicePool::with_speeds(
                     flow.model.clone(),
                     &csv_list::<f64>(s, "speeds"),
                 )],
-                None => csv_list::<usize>(args.get("gpus").unwrap_or("1,2,4"), "gpus")
+                None => csv_list::<usize>(gpus, "gpus")
                     .into_iter()
                     .map(|k| DevicePool::uniform(flow.model.clone(), k.max(1)))
                     .collect(),
@@ -646,7 +680,7 @@ fn main() {
                 sweeps.push((k, r, speedup, model_speedup));
             }
 
-            if args.has("json") {
+            if json {
                 let rows: Vec<Json> = sweeps
                     .iter()
                     .map(|(k, r, speedup, model_speedup)| {
@@ -659,7 +693,7 @@ fn main() {
                     })
                     .collect();
                 let doc = Json::obj()
-                    .field("benchmark", args.get("benchmark").unwrap_or("riscv-mini"))
+                    .field("benchmark", bench_name)
                     .field("n", n)
                     .field("cycles", cycles)
                     .field("functional", functional)
@@ -704,6 +738,29 @@ fn main() {
 
             // DUT pool: 1 = max coalescing, 2 = adds a second engine.
             let n_designs: usize = args.num("designs", 1);
+            let serve_cfg = ServeConfig {
+                max_batch: args.num("max-batch", 4096),
+                window: Duration::from_millis(args.num("window-ms", 5)),
+                queue_limit: args.num("queue-limit", 256),
+                workers: args.num("workers", 2),
+                devices: match args.get("devices") {
+                    Some(s) => csv_list::<f64>(s, "devices"),
+                    None => vec![1.0],
+                },
+                tuned: tuned_policy(&args),
+                journal: args.get("journal").map(std::path::PathBuf::from),
+                ..Default::default()
+            };
+            let crash_after = args.get("crash-after");
+            let trace_cfg = TraceConfig {
+                clients: args.num("clients", 8),
+                jobs_per_client: args.num("jobs", 6),
+                seed: args.num("seed", 7),
+                ..Default::default()
+            };
+            let json = args.has("json");
+            args.finish();
+
             let pool = [Benchmark::RiscvMini, Benchmark::Spinal];
             let designs: Vec<Arc<rtlflow::Design>> = pool
                 .iter()
@@ -718,20 +775,6 @@ fn main() {
                 })
                 .collect();
 
-            let serve_cfg = ServeConfig {
-                max_batch: args.num("max-batch", 4096),
-                window: Duration::from_millis(args.num("window-ms", 5)),
-                queue_limit: args.num("queue-limit", 256),
-                workers: args.num("workers", 2),
-                devices: match args.get("devices") {
-                    Some(s) => csv_list::<f64>(s, "devices"),
-                    None => vec![1.0],
-                },
-                tuned: tuned_policy(&args),
-                journal: args.get("journal").map(std::path::PathBuf::from),
-                ..Default::default()
-            };
-
             // `--crash-after <k>`: crash-resilience demo instead of the
             // trace replay. Accept k journaled jobs behind an effectively
             // infinite window (so none can flush), hard-crash the
@@ -739,7 +782,7 @@ fn main() {
             // journal on a fresh service and check each one's digests
             // bit-identical to a direct local run. Exits nonzero on any
             // lost job or digest mismatch.
-            if let Some(k) = args.get("crash-after") {
+            if let Some(k) = crash_after {
                 let k: usize = k.parse().unwrap_or_else(|_| {
                     eprintln!("bad --crash-after `{k}` (want a job count)");
                     exit(2)
@@ -749,7 +792,7 @@ fn main() {
                     exit(2)
                 };
                 let _ = std::fs::remove_file(&jpath);
-                let seed: u64 = args.num("seed", 7);
+                let seed = trace_cfg.seed;
                 let cycles: u64 = 40;
                 let maps: Vec<PortMap> = designs.iter().map(|d| PortMap::from_design(d)).collect();
                 let make_source = |which: usize, n: usize, jseed: u64| {
@@ -864,7 +907,7 @@ fn main() {
                     metrics.jobs_recovered,
                     jpath.display()
                 );
-                if args.has("json") {
+                if json {
                     println!("{}", metrics.to_json());
                 } else {
                     print!("{}", metrics.table());
@@ -872,13 +915,6 @@ fn main() {
                 return;
             }
 
-            let trace_cfg = TraceConfig {
-                clients: args.num("clients", 8),
-                jobs_per_client: args.num("jobs", 6),
-                seed: args.num("seed", 7),
-                ..Default::default()
-            };
-            let json = args.has("json");
             if !json {
                 println!(
                     "serve-sim: {} clients x {} jobs over {} design(s); \
@@ -908,7 +944,29 @@ fn main() {
         "netlist-sim" => {
             use desim::Json;
 
-            let (src, top): (String, String) = match args.get("fixture") {
+            let top_flag = args.get("top");
+            let do_rewrite = match args.get("rewrite").unwrap_or("on") {
+                "on" => true,
+                "off" => false,
+                other => {
+                    eprintln!("bad value for --rewrite: `{other}` (on|off)");
+                    exit(2)
+                }
+            };
+            let n: usize = args.num("n", 1024);
+            let cycles: u64 = args.num("c", 1000);
+            let seed: u64 = args.num("seed", 1);
+            let cfg = PipelineConfig {
+                group_size: args.num("group", 1024.min(n)),
+                exec: exec_config(&args),
+                ..Default::default()
+            };
+            let verify: Option<usize> = args.get("verify").map(|v| v.parse().unwrap_or(4));
+            let json = args.has("json");
+            let fixture = args.get("fixture");
+            args.finish();
+
+            let (src, top): (String, String) = match fixture {
                 Some("counter") => (netlist::COUNTER_JSON.to_string(), "counter".into()),
                 Some("picorv32") => (netlist::PICORV32_JSON.to_string(), "picorv32".into()),
                 Some(other) => {
@@ -919,7 +977,7 @@ fn main() {
                     let Some(path) = args.positional.get(1) else {
                         usage()
                     };
-                    let Some(top) = args.get("top") else {
+                    let Some(top) = top_flag else {
                         eprintln!("--top <module> is required with a netlist file");
                         exit(2)
                     };
@@ -934,14 +992,6 @@ fn main() {
                 eprintln!("error: {e}");
                 exit(1)
             });
-            let do_rewrite = match args.get("rewrite").unwrap_or("on") {
-                "on" => true,
-                "off" => false,
-                other => {
-                    eprintln!("bad value for --rewrite: `{other}` (on|off)");
-                    exit(2)
-                }
-            };
             let mut design = reference.clone();
             let rw = do_rewrite.then(|| netlist::rewrite(&mut design));
 
@@ -954,22 +1004,8 @@ fn main() {
                 eprintln!("error: {e}");
                 exit(1)
             });
-            let n: usize = args.num("n", 1024);
-            let cycles: u64 = args.num("c", 1000);
-            let seed: u64 = args.num("seed", 1);
             let map = PortMap::from_design(&flow.design);
             let source = stimulus::source_for(&flow.design, &map, n, seed);
-            let cfg = PipelineConfig {
-                group_size: args.num("group", 1024.min(n)),
-                exec: match args.get("exec") {
-                    Some(s) => rtlflow::ExecConfig::parse(s).unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2)
-                    }),
-                    None => rtlflow::ExecConfig::default(),
-                },
-                ..Default::default()
-            };
             let t0 = std::time::Instant::now();
             let result = flow
                 .simulate(source.as_ref(), cycles, &cfg)
@@ -982,8 +1018,7 @@ fn main() {
             // Verification runs the interpreter on the *un-rewritten*
             // import, so it checks the importer, the rewriter, and the
             // batch executor against each other in one pass.
-            let verified = args.get("verify").map(|v| {
-                let count: usize = v.parse().unwrap_or(4);
+            let verified = verify.map(|count| {
                 let vc = cycles.min(200);
                 let step = (n / count.max(1)).max(1);
                 let mut frame = vec![0u64; map.len()];
@@ -1009,7 +1044,7 @@ fn main() {
                 compared
             });
 
-            if args.has("json") {
+            if json {
                 let mut doc = Json::obj()
                     .field("top", top.as_str())
                     .field("n", n)
@@ -1090,14 +1125,16 @@ fn main() {
             };
             use std::time::Duration;
 
-            let bench = benchmark_by_name(args.get("benchmark").unwrap_or("riscv-mini"));
+            let bench_name = args.get("benchmark").unwrap_or("riscv-mini");
+            let bench = benchmark_by_name(bench_name);
             let n: usize = args.num("n", 4096);
             let cycles: u64 = args.num("c", 64);
             let seed: u64 = args.num("seed", 1);
             let group: usize = args.num("group", 1024);
+            let workers: usize = args.num("workers", 4);
             let capacities: Vec<u32> = match args.get("capacities") {
                 Some(s) => csv_list(s, "capacities"),
-                None => vec![1; args.num("workers", 4)],
+                None => vec![1; workers],
             };
             if capacities.is_empty() || capacities.contains(&0) {
                 eprintln!("--capacities needs positive values");
@@ -1165,6 +1202,9 @@ fn main() {
                 });
                 rtlflow::ChaosPlan::generate(seed, capacities.len(), cycles, checkpoint_interval)
             });
+            let tuned = tuned_policy(&args);
+            let (verify, json) = (args.has("verify"), args.has("json"));
+            args.finish();
             if let Some(plan) = &chaos {
                 print!("{}", plan.describe());
             }
@@ -1203,7 +1243,7 @@ fn main() {
                                 None => fault.as_ref().filter(|(w, _)| *w == i).map(|&(_, f)| f),
                             },
                             checkpoint_interval,
-                            tuned: tuned_policy(&args),
+                            tuned: tuned.clone(),
                             ..Default::default()
                         },
                     )
@@ -1234,7 +1274,7 @@ fn main() {
                 let _ = h.join();
             }
 
-            let verified = args.has("verify").then(|| {
+            let verified = verify.then(|| {
                 let cfg = ShardConfig {
                     group_size: group.clamp(1, n.max(1)),
                     ..Default::default()
@@ -1270,10 +1310,10 @@ fn main() {
                 });
 
             let metrics = controller.metrics();
-            if args.has("json") {
+            if json {
                 use desim::Json;
                 let mut doc = Json::obj()
-                    .field("benchmark", args.get("benchmark").unwrap_or("riscv-mini"))
+                    .field("benchmark", bench_name)
                     .field("n", n)
                     .field("cycles", cycles)
                     .field("workers", capacities.len())

@@ -3,8 +3,11 @@
 //! Every subcommand (`simulate`, `bench-exec`, `shard-sim`, `serve-sim`,
 //! `cluster-sim`, ...) cracks the same `--flag value` grammar; this
 //! module holds the one parser they all use so a new subcommand never
-//! re-implements flag handling.
+//! re-implements flag handling. The parser also remembers which flag
+//! names a subcommand asked about, so [`Args::finish`] can refuse a flag
+//! nobody reads instead of letting a typo run the defaults.
 
+use std::cell::RefCell;
 use std::process::exit;
 
 use designs::{Benchmark, NvdlaScale};
@@ -13,6 +16,8 @@ use designs::{Benchmark, NvdlaScale};
 pub struct Args {
     pub positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
+    /// Every name `get`/`has`/`num` was asked about so far.
+    queried: RefCell<Vec<String>>,
 }
 
 impl Args {
@@ -36,11 +41,20 @@ impl Args {
             }
             i += 1;
         }
-        Args { positional, flags }
+        Args {
+            positional,
+            flags,
+            queried: RefCell::new(Vec::new()),
+        }
+    }
+
+    fn note(&self, name: &str) {
+        self.queried.borrow_mut().push(name.to_string());
     }
 
     /// Last value given for `--name` (last wins, like most CLIs).
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.note(name);
         self.flags
             .iter()
             .rev()
@@ -49,7 +63,29 @@ impl Args {
     }
 
     pub fn has(&self, name: &str) -> bool {
+        self.note(name);
         self.flags.iter().any(|(n, _)| n == name)
+    }
+
+    /// The first flag on the command line that no `get`/`has`/`num` call
+    /// has asked about.
+    pub fn unknown_flag(&self) -> Option<&str> {
+        let q = self.queried.borrow();
+        self.flags
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .find(|n| !q.iter().any(|k| k == n))
+    }
+
+    /// End of a subcommand's flag reading: exit 2 naming the first flag
+    /// it never asked about. Call it after the last `get`/`has`/`num` and
+    /// before the work starts.
+    pub fn finish(&self) {
+        if let Some(name) = self.unknown_flag() {
+            let dashes = if name.len() == 1 { "-" } else { "--" };
+            eprintln!("unknown flag `{dashes}{name}` for this command (see `rtlflow help`)");
+            exit(2)
+        }
     }
 
     /// Parse `--name` as a number, exiting with a usage error on junk.
@@ -118,6 +154,26 @@ mod tests {
         assert!(a.has("json"));
         assert!(!a.has("verify"));
         assert_eq!(a.num("c", 1000u64), 1000);
+    }
+
+    #[test]
+    fn flags_nobody_asked_about_are_reported_in_command_line_order() {
+        let a = args(&[
+            "simulate", "--exce", "fused", "-n", "64", "--verfy", "-c", "3",
+        ]);
+        assert_eq!(a.unknown_flag(), Some("exce"), "nothing queried yet");
+        assert_eq!(a.get("exec"), None);
+        assert_eq!(a.num("n", 0usize), 64);
+        assert_eq!(a.unknown_flag(), Some("exce"));
+        // Asking about a flag, by any accessor, is what makes it known;
+        // whether it was given or had a value does not matter.
+        a.get("exce");
+        assert_eq!(a.unknown_flag(), Some("verfy"));
+        assert!(a.has("verfy"));
+        assert_eq!(a.unknown_flag(), Some("c"));
+        assert!(!a.has("json"));
+        assert_eq!(a.num("c", 0u64), 3);
+        assert_eq!(a.unknown_flag(), None);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! single word ops across a 64-lane block (the GATSPI packing).
 //!
 //! Layout analysis ([`BitLayout::compile`]) classifies each `var8` slot as
-//! *transposable* (every store is width-1 and its producing cone stays in
-//! the bitwise/mux/const fragment) or *bucketed*. Each kernel is then split
+//! *transposable* (every store is width-1, its producing cone stays in
+//! the bitwise/mux/const fragment, and at least one bit op reads or
+//! writes it) or *bucketed*. A design with no transposable slot compiles
+//! to a zero-plane layout, which [`crate::exec::run_order`] runs as the
+//! plain vectorized loop. Each kernel is otherwise split
 //! into a word part (fused exactly like the vectorized engine) and a
 //! [`BitProgram`] over bit registers. Word-domain ops may still *read*
 //! transposed slots: those reads are listed as [`EscapeRead`]s and the
@@ -21,8 +24,6 @@
 //! the attached [`BitplaneMemory`] for transposed offsets (host peek/poke),
 //! and checkpoints capture/restore through [`DeviceMemory::var8_canonical`]
 //! / [`DeviceMemory::resync_bitplane`] so images stay layout-independent.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::device::{DeviceMemory, Scratch};
 use crate::exec::execute_ordered;
@@ -174,6 +175,8 @@ struct KernelClass {
     bit_inc: Vec<bool>,
     /// Candidate offsets the word part reads (escapes, pre-plane-id).
     escape_offs: Vec<u32>,
+    /// Candidate offsets the bit program loads or stores.
+    bit_touched: Vec<u32>,
     /// Candidate offsets found to violate transposability here.
     demote: Vec<u32>,
 }
@@ -318,6 +321,7 @@ fn classify_kernel(kernel: &Kernel, candidate: &[bool]) -> KernelClass {
     let mut bit_inc = vec![false; n];
     let mut escape_offs: Vec<u32> = Vec::new();
     let mut bit_stored: Vec<u32> = Vec::new();
+    let mut bit_touched: Vec<u32> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Store { slot, .. } => {
@@ -334,13 +338,17 @@ fn classify_kernel(kernel: &Kernel, candidate: &[bool]) -> KernelClass {
                 let has_bit = cap[i] && uses[i].iter().any(|&j| consumer_bit(j));
                 word_inc[i] = has_word;
                 bit_inc[i] = has_bit;
-                if has_word {
-                    if let Op::Load { slot, .. } = op {
-                        if slot.bucket == Bucket::B8
-                            && candidate.get(slot.offset as usize) == Some(&true)
-                        {
-                            escape_offs.push(slot.offset);
-                        }
+                if let Op::Load { slot, .. } = op {
+                    // `cap` already says a bit-included load is of a
+                    // candidate slot.
+                    if has_bit {
+                        bit_touched.push(slot.offset);
+                    }
+                    if has_word
+                        && slot.bucket == Bucket::B8
+                        && candidate.get(slot.offset as usize) == Some(&true)
+                    {
+                        escape_offs.push(slot.offset);
                     }
                 }
             }
@@ -363,10 +371,12 @@ fn classify_kernel(kernel: &Kernel, candidate: &[bool]) -> KernelClass {
         }
     }
 
+    bit_touched.extend(bit_stored);
     KernelClass {
         word_inc,
         bit_inc,
         escape_offs,
+        bit_touched,
         demote,
     }
 }
@@ -532,8 +542,12 @@ impl BitLayout {
             .collect();
 
         // Fixpoint: classification may demote candidates (word-fed
-        // stores, intra-kernel escape/store hazards); demotions shrink
-        // the candidate set monotonically, so this terminates.
+        // stores, intra-kernel escape/store hazards), and a candidate no
+        // bit op reads or writes goes back to the word domain too: as a
+        // plane it would buy nothing and cost its word readers an escape
+        // scatter every cycle. Demotions only ever turn bit ops into
+        // word ops, so both sets shrink monotonically and this
+        // terminates; at the fixpoint every plane is touched by a bit op.
         let classes: Vec<KernelClass> = loop {
             let classes: Vec<KernelClass> = ir
                 .kernels
@@ -541,12 +555,22 @@ impl BitLayout {
                 .map(|k| classify_kernel(k, &candidate))
                 .collect();
             let mut demoted = false;
+            let mut touched = vec![false; len8];
             for cls in &classes {
                 for &o in &cls.demote {
                     if candidate[o as usize] {
                         candidate[o as usize] = false;
                         demoted = true;
                     }
+                }
+                for &o in &cls.bit_touched {
+                    touched[o as usize] = true;
+                }
+            }
+            for (c, &t) in candidate.iter_mut().zip(&touched) {
+                if *c && !t {
+                    *c = false;
+                    demoted = true;
                 }
             }
             if !demoted {
@@ -617,8 +641,9 @@ impl BitLayout {
         }
     }
 
-    /// Number of transposed planes (0 means the layout degenerates to the
-    /// plain vectorized engine).
+    /// Number of transposed planes. Every plane is read or written by at
+    /// least one [`BOp`]; 0 means the design runs as the plain vectorized
+    /// loop.
     pub fn num_planes(&self) -> u32 {
         self.num_planes
     }
@@ -696,47 +721,21 @@ impl DeviceMemory {
         if layout.num_planes == 0 || self.bitplane.is_some() {
             return;
         }
-        let n = self.n();
-        let words = n.div_ceil(64);
-        let mut bp = BitplaneMemory {
+        let words = self.n().div_ceil(64);
+        self.bitplane = Some(Box::new(BitplaneMemory {
             words,
             num_planes: layout.num_planes,
             bits: vec![0u64; layout.num_planes as usize * words],
             plane_of_b8: layout.plane_of_b8.clone(),
-        };
-        let DeviceMemory { var8, .. } = self;
-        for (o, &p) in bp.plane_of_b8.iter().enumerate() {
-            if p == NO_PLANE {
-                continue;
-            }
-            let row = &mut var8[o * n..o * n + n];
-            let pbase = p as usize * words;
-            for (t, v) in row.iter_mut().enumerate() {
-                if *v & 1 != 0 {
-                    bp.bits[pbase + t / 64] |= 1u64 << (t % 64);
-                }
-                *v = 0;
-            }
-        }
-        self.bitplane = Some(Box::new(bp));
+        }));
+        self.resync_bitplane();
     }
 
     /// Detach the transposed region, folding every plane back into its
     /// `var8` row. After this the raw arrays are the full state again.
     pub fn detach_bitplane(&mut self) {
-        let n = self.n();
-        if let Some(bp) = self.bitplane.take() {
-            for (o, &p) in bp.plane_of_b8.iter().enumerate() {
-                if p == NO_PLANE {
-                    continue;
-                }
-                let pbase = p as usize * bp.words;
-                let row = &mut self.var8[o * n..o * n + n];
-                for (t, v) in row.iter_mut().enumerate() {
-                    *v = ((bp.bits[pbase + t / 64] >> (t % 64)) & 1) as u8;
-                }
-            }
-        }
+        self.var8 = self.var8_canonical();
+        self.bitplane = None;
     }
 
     /// Re-pack the planes from the raw `var8` rows (used after a
@@ -913,7 +912,8 @@ fn exec_bit_program(
 /// escape reads, run the word-domain remainder, then the bit program.
 /// The per-kernel interleave (not phase-per-cycle) is required because a
 /// later kernel's escapes may read slots an earlier kernel bit-stored.
-fn execute_bitplane_range(
+/// `dev` must have `layout`'s planes attached.
+pub(crate) fn execute_bitplane_range(
     layout: &BitLayout,
     order: &[usize],
     dev: &mut DeviceMemory,
@@ -944,71 +944,6 @@ fn execute_bitplane_range(
             }
         }
     }
-}
-
-/// Raw device pointer crossing the thread-pool boundary. Safe: workers
-/// claim disjoint 64-lane-aligned lane intervals, so they touch disjoint
-/// plane words and disjoint lane sub-ranges of every bucket row.
-struct BpDevPtr(*mut DeviceMemory);
-unsafe impl Send for BpDevPtr {}
-unsafe impl Sync for BpDevPtr {}
-
-/// Execute one full cycle under the transposed layout. Attaches the
-/// [`BitplaneMemory`] on first use (packing current `var8` state). With
-/// more than one scratch, lanes are cut into 64-aligned blocks of
-/// `block` lanes claimed from an atomic counter by scoped workers.
-#[allow(clippy::too_many_arguments)]
-pub fn run_bitplane_cycle(
-    layout: &BitLayout,
-    order: &[usize],
-    dev: &mut DeviceMemory,
-    scratches: &mut [Scratch],
-    tid0: usize,
-    group: usize,
-    block: usize,
-    lane_chunk: usize,
-) {
-    if layout.num_planes > 0 && dev.bitplane.is_none() {
-        dev.attach_bitplane(layout);
-    }
-    if group == 0 {
-        return;
-    }
-    let end = tid0 + group;
-    let w_start = tid0 / 64;
-    let w_end = end.div_ceil(64);
-    let words_per_block = (block / 64).max(1);
-    let nblocks = (w_end - w_start).div_ceil(words_per_block);
-    let workers = scratches.len().min(nblocks).max(1);
-    if workers <= 1 {
-        execute_bitplane_range(layout, order, dev, &mut scratches[0], tid0, end, lane_chunk);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let devp = BpDevPtr(dev as *mut DeviceMemory);
-    let devp = &devp;
-    let next = &next;
-    std::thread::scope(|sc| {
-        for scratch in scratches[..workers].iter_mut() {
-            sc.spawn(move || loop {
-                let bi = next.fetch_add(1, Ordering::Relaxed);
-                if bi >= nblocks {
-                    break;
-                }
-                let bw0 = w_start + bi * words_per_block;
-                let bw1 = (bw0 + words_per_block).min(w_end);
-                let t0 = (bw0 * 64).max(tid0);
-                let t1 = (bw1 * 64).min(end);
-                if t0 >= t1 {
-                    continue;
-                }
-                // SAFETY: block word ranges are disjoint, so lane
-                // intervals (and plane words) never overlap.
-                let dev = unsafe { &mut *devp.0 };
-                execute_bitplane_range(layout, order, dev, scratch, t0, t1, lane_chunk);
-            });
-        }
-    });
 }
 
 /// Bit-transpose `n` 1-bit lane values into `ceil(n / 64)` words: lane
@@ -1042,6 +977,7 @@ pub fn unpack_bit_lanes(words: &[u64], n: usize, mut put: impl FnMut(usize, u64)
 mod tests {
     use super::*;
     use crate::device::execute_kernel;
+    use crate::exec::for_lane_blocks;
     use crate::ir::{Kernel, Op};
 
     fn s8(offset: u32) -> Slot {
@@ -1172,6 +1108,23 @@ mod tests {
         }
     }
 
+    /// One cycle over `layout` for lanes `[tid0, tid0 + group)`, as
+    /// `run_order` drives it: one worker per scratch.
+    fn run_layout(
+        layout: &BitLayout,
+        order: &[usize],
+        dev: &mut DeviceMemory,
+        scratches: &mut [Scratch],
+        tid0: usize,
+        group: usize,
+        block: usize,
+    ) {
+        dev.attach_bitplane(layout);
+        for_lane_blocks(dev, scratches, tid0, group, block, |dev, s, t0, t1| {
+            execute_bitplane_range(layout, order, dev, s, t0, t1, 256)
+        });
+    }
+
     fn seed(dev: &mut DeviceMemory, n: usize) {
         for t in 0..n {
             dev.store(s8(0), t, (t as u64) & 1);
@@ -1215,7 +1168,7 @@ mod tests {
         seed(&mut dev, n);
         let mut scratches = vec![Scratch::new()];
         for _ in 0..4 {
-            run_bitplane_cycle(&layout, &order, &mut dev, &mut scratches, 0, n, 1024, 256);
+            run_layout(&layout, &order, &mut dev, &mut scratches, 0, n, 1024);
         }
         dev.detach_bitplane();
         assert_eq!(dev.var8, ref_dev.var8);
@@ -1233,7 +1186,7 @@ mod tests {
         seed(&mut ref_dev, n);
         let mut s1 = vec![Scratch::new()];
         for _ in 0..3 {
-            run_bitplane_cycle(&layout, &order, &mut ref_dev, &mut s1, 0, n, 1024, 256);
+            run_layout(&layout, &order, &mut ref_dev, &mut s1, 0, n, 1024);
         }
         ref_dev.detach_bitplane();
 
@@ -1242,7 +1195,7 @@ mod tests {
         seed(&mut dev, n);
         let mut s4: Vec<Scratch> = (0..4).map(|_| Scratch::new()).collect();
         for _ in 0..3 {
-            run_bitplane_cycle(&layout, &order, &mut dev, &mut s4, 0, n, 64, 256);
+            run_layout(&layout, &order, &mut dev, &mut s4, 0, n, 64);
         }
         dev.detach_bitplane();
         assert_eq!(dev.var8, ref_dev.var8);
@@ -1254,7 +1207,7 @@ mod tests {
         seed(&mut base, n);
         let mut part = base.clone();
         let mut sp = vec![Scratch::new()];
-        run_bitplane_cycle(&layout, &order, &mut part, &mut sp, 37, 411 - 37, 128, 256);
+        run_layout(&layout, &order, &mut part, &mut sp, 37, 411 - 37, 128);
         part.detach_bitplane();
         let mut expect = base.clone();
         let mut se = Scratch::new();

@@ -1,4 +1,5 @@
-//! Vectorized and block-parallel execution of fused kernel programs.
+//! The fused execution engine: vectorized, uniform-specialized and
+//! lane-block-parallel execution of fused kernel programs.
 //!
 //! Three compounding layers over the scalar reference interpreter in
 //! [`crate::device`]:
@@ -13,9 +14,13 @@
 //!   live in a scalar shadow file and are computed once per op, not once
 //!   per lane; they are broadcast only on demotion to per-lane use.
 //! * **Block-parallel execution** — the tid range is split into disjoint
-//!   lane blocks executed on a scoped host-thread pool (one [`Scratch`]
-//!   per worker, raw-pointer device access over provably disjoint lane
-//!   sub-ranges).
+//!   64-lane-aligned blocks executed on a scoped host-thread pool (one
+//!   [`Scratch`] per worker, raw-pointer device access over provably
+//!   disjoint lane sub-ranges; see [`for_lane_blocks`]).
+//!
+//! Whether a cycle runs over the width-bucketed rows alone or also over
+//! bit-transposed planes is a property of the compiled design
+//! ([`BitLayout`]), picked in [`run_order`]; it is not a strategy.
 //!
 //! Bit-exactness versus [`crate::device::execute_kernel`] is enforced by
 //! construction: every monomorphized arm calls [`apply_bin`]/[`apply_un`]
@@ -25,7 +30,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::bitplane::{run_bitplane_cycle, BitLayout};
+use crate::bitplane::{execute_bitplane_range, BitLayout};
 use crate::device::{apply_bin, apply_un, execute_kernel, mask, DeviceMemory, Scratch};
 use crate::fuse::{FOp, FusedKernel};
 use crate::ir::{Bucket, KBin, KUn, Kernel, Reg, Slot};
@@ -33,18 +38,14 @@ use crate::ir::{Bucket, KBin, KUn, Kernel, Reg, Slot};
 /// How the functional executor runs a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
-    /// The scalar reference interpreter (pre-fusion semantics).
+    /// The scalar reference interpreter (pre-fusion semantics): the
+    /// oracle every differential test compares against.
     Scalar,
-    /// Fused + vectorized + uniform-specialized, single host thread.
-    Vectorized,
-    /// Vectorized execution over disjoint lane blocks on a host pool.
-    /// `threads == 0` means "use available host parallelism".
-    BlockParallel { threads: usize, block: usize },
-    /// Bit-transposed execution ([`crate::bitplane`]): 1-bit slots live as
-    /// planes of 64 lanes per word, the word remainder runs vectorized.
+    /// The fused engine: vectorized and uniform-specialized, over
+    /// bit-transposed planes where the compiled [`BitLayout`] has any.
     /// `threads == 1` is serial; `0` means "use available parallelism";
     /// `block` is the parallel lane-block size (rounded to 64 lanes).
-    BitPlane { threads: usize, block: usize },
+    Fused { threads: usize, block: usize },
 }
 
 /// Structured parse error for [`ExecConfig::parse`] specs.
@@ -60,7 +61,7 @@ pub enum ExecSpecError {
 
 impl std::fmt::Display for ExecSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        const GRAMMAR: &str = "scalar|vector|par[:N[:block]]|bitpar[:N[:block]][@chunk]";
+        const GRAMMAR: &str = "scalar|fused[:threads[:block]][@chunk]";
         match self {
             ExecSpecError::UnknownStrategy { token } => {
                 write!(f, "unknown exec strategy `{token}` (expected {GRAMMAR})")
@@ -91,10 +92,7 @@ pub struct ExecConfig {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig {
-            strategy: ExecStrategy::Vectorized,
-            lane_chunk: DEFAULT_LANE_CHUNK,
-        }
+        ExecConfig::fused(1)
     }
 }
 
@@ -106,16 +104,11 @@ impl ExecConfig {
         }
     }
 
-    pub const fn vectorized() -> Self {
+    /// The fused engine on `threads` workers: `1` is serial, `0` means
+    /// "use available parallelism".
+    pub const fn fused(threads: usize) -> Self {
         ExecConfig {
-            strategy: ExecStrategy::Vectorized,
-            lane_chunk: DEFAULT_LANE_CHUNK,
-        }
-    }
-
-    pub const fn parallel(threads: usize) -> Self {
-        ExecConfig {
-            strategy: ExecStrategy::BlockParallel {
+            strategy: ExecStrategy::Fused {
                 threads,
                 block: DEFAULT_BLOCK,
             },
@@ -123,16 +116,12 @@ impl ExecConfig {
         }
     }
 
-    /// Bit-transposed execution ([`crate::bitplane`]). `threads == 1` is
-    /// the serial engine; `0` means "use available parallelism".
+    /// Alias of [`ExecConfig::fused`] under its old name. It exists only
+    /// because `benchmark/` calls it and goes with the next `benchmark/`
+    /// PR.
+    #[doc(hidden)]
     pub const fn bitplane(threads: usize) -> Self {
-        ExecConfig {
-            strategy: ExecStrategy::BitPlane {
-                threads,
-                block: DEFAULT_BLOCK,
-            },
-            lane_chunk: DEFAULT_LANE_CHUNK,
-        }
+        ExecConfig::fused(threads)
     }
 
     /// Same config with a different lane-chunk size.
@@ -142,25 +131,19 @@ impl ExecConfig {
     }
 
     /// Same config with a different parallel block size (no-op for the
-    /// serial strategies).
+    /// scalar oracle).
     pub const fn with_block(mut self, block: usize) -> Self {
-        match self.strategy {
-            ExecStrategy::BlockParallel { threads, .. } => {
-                self.strategy = ExecStrategy::BlockParallel { threads, block };
-            }
-            ExecStrategy::BitPlane { threads, .. } => {
-                self.strategy = ExecStrategy::BitPlane { threads, block };
-            }
-            ExecStrategy::Scalar | ExecStrategy::Vectorized => {}
+        if let ExecStrategy::Fused { threads, .. } = self.strategy {
+            self.strategy = ExecStrategy::Fused { threads, block };
         }
         self
     }
 
-    /// Parse a CLI spec: `scalar`, `vector`, `par[:threads[:block]]`, or
-    /// `bitpar[:threads[:block]]`, each optionally suffixed with
-    /// `@<lane_chunk>` (e.g. `vector@512`, `par:4:2048@128`, `bitpar:0`).
-    /// The whole input must be consumed: trailing characters after a valid
-    /// spec are a [`ExecSpecError::TrailingInput`]/[`ExecSpecError::BadNumber`].
+    /// Parse a CLI spec: `scalar` or `fused[:threads[:block]]`, each
+    /// optionally suffixed with `@<lane_chunk>` (e.g. `fused@512`,
+    /// `fused:4:2048@128`, `fused:0`). The whole input must be consumed:
+    /// trailing characters after a valid spec are a
+    /// [`ExecSpecError::TrailingInput`]/[`ExecSpecError::BadNumber`].
     pub fn parse(s: &str) -> Result<ExecConfig, ExecSpecError> {
         // Digits only: `usize::from_str` also accepts a leading `+`,
         // which `spec()` never emits and the grammar does not allow.
@@ -180,43 +163,27 @@ impl ExecConfig {
             None => (s, None),
         };
         let mut toks = base.split(':');
-        let head = toks.next().unwrap_or("");
-        let rest: Vec<&str> = toks.collect();
-        let arity = match head {
-            "scalar" | "vector" | "vectorized" => 0,
-            "par" | "parallel" | "bitpar" => 2,
-            _ => {
+        let cfg = match toks.next().unwrap_or("") {
+            "scalar" => ExecConfig::scalar(),
+            "fused" => {
+                let threads = toks.next().map_or(Ok(1), |t| int("thread count", t))?;
+                let block = toks
+                    .next()
+                    .map_or(Ok(DEFAULT_BLOCK), |b| int("block size", b))?;
+                ExecConfig::fused(threads).with_block(block)
+            }
+            head => {
                 return Err(ExecSpecError::UnknownStrategy {
                     token: head.to_string(),
                 })
             }
         };
-        if rest.len() > arity {
+        let rest: Vec<&str> = toks.collect();
+        if !rest.is_empty() {
             return Err(ExecSpecError::TrailingInput {
-                rest: rest[arity..].join(":"),
+                rest: rest.join(":"),
             });
         }
-        let cfg = match head {
-            "scalar" => ExecConfig::scalar(),
-            "vector" | "vectorized" => ExecConfig::vectorized(),
-            "par" | "parallel" | "bitpar" => {
-                let default_threads = if head == "bitpar" { 1 } else { 0 };
-                let threads = match rest.first() {
-                    Some(t) => int("thread count", t)?,
-                    None => default_threads,
-                };
-                let block = match rest.get(1) {
-                    Some(b) => int("block size", b)?,
-                    None => DEFAULT_BLOCK,
-                };
-                if head == "bitpar" {
-                    ExecConfig::bitplane(threads).with_block(block)
-                } else {
-                    ExecConfig::parallel(threads).with_block(block)
-                }
-            }
-            _ => unreachable!(),
-        };
         Ok(match chunk {
             Some(c) => cfg.with_lane_chunk(c),
             None => cfg,
@@ -227,21 +194,13 @@ impl ExecConfig {
     pub fn spec(&self) -> String {
         let mut s = match self.strategy {
             ExecStrategy::Scalar => "scalar".to_string(),
-            ExecStrategy::Vectorized => "vector".to_string(),
-            ExecStrategy::BlockParallel { threads, block } => {
-                if block == DEFAULT_BLOCK {
-                    format!("par:{threads}")
+            ExecStrategy::Fused { threads, block } => {
+                if block != DEFAULT_BLOCK {
+                    format!("fused:{threads}:{block}")
+                } else if threads != 1 {
+                    format!("fused:{threads}")
                 } else {
-                    format!("par:{threads}:{block}")
-                }
-            }
-            ExecStrategy::BitPlane { threads, block } => {
-                if threads == 1 && block == DEFAULT_BLOCK {
-                    "bitpar".to_string()
-                } else if block == DEFAULT_BLOCK {
-                    format!("bitpar:{threads}")
-                } else {
-                    format!("bitpar:{threads}:{block}")
+                    "fused".to_string()
                 }
             }
         };
@@ -251,18 +210,16 @@ impl ExecConfig {
         s
     }
 
-    /// Worker-thread count this config wants (1 for serial strategies).
+    /// Worker-thread count this config wants (1 for the scalar oracle).
+    /// A host that cannot report its parallelism gets one worker: an
+    /// unknown host must not be oversubscribed.
     pub fn thread_count(&self) -> usize {
         match self.strategy {
-            ExecStrategy::Scalar | ExecStrategy::Vectorized => 1,
-            ExecStrategy::BlockParallel { threads, .. }
-            | ExecStrategy::BitPlane { threads, .. } => {
-                if threads == 0 {
-                    std::thread::available_parallelism().map_or(4, |n| n.get())
-                } else {
-                    threads
-                }
+            ExecStrategy::Scalar => 1,
+            ExecStrategy::Fused { threads: 0, .. } => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
             }
+            ExecStrategy::Fused { threads, .. } => threads,
         }
     }
 
@@ -1248,71 +1205,95 @@ pub fn execute_ordered(
 /// per design/host.
 pub const DEFAULT_LANE_CHUNK: usize = 256;
 
-/// Raw device pointer that crosses the thread-pool boundary. Safe because
-/// every worker touches a disjoint lane sub-range of each bucket row
-/// (`offset * N + tid` with disjoint `tid` intervals never collide).
+/// The device image as the lane-block workers of [`for_lane_blocks`]
+/// share it.
 struct DevPtr(*mut DeviceMemory);
+// SAFETY: the pointer comes from the `&mut DeviceMemory` that
+// `for_lane_blocks` holds for the whole scope its workers live in, so it
+// is valid and nothing outside the scope touches the image meanwhile.
+// `DeviceMemory` is plain owned data (four bucket `Vec`s and an optional
+// boxed plane `Vec`), none of it thread-affine, and no worker grows,
+// shrinks, attaches or detaches any of them. Workers claim distinct
+// block indices from one atomic counter, and block `i` covers lanes
+// `[max(64·w_i, tid0), min(64·w_{i+1}, end))` for a strictly increasing
+// word sequence `w`: the lane intervals are pairwise disjoint and every
+// boundary between two blocks is a multiple of 64. Every executor
+// (`execute_ordered`, the escape scatter, the bit programs) given lanes
+// `[t0, t1)` reads and writes only elements `offset * N + t` of bucket
+// rows with `t` in that interval, and only words `[t0/64, ceil(t1/64))`
+// of a plane, partial edge words under a lane mask; with boundaries on
+// multiples of 64 two blocks never share a plane word. So no element is
+// written by one worker and accessed by another. (The workers' `&mut`
+// views of the image do overlap as references; that lane discipline is
+// all that separates them, so `for_lane_blocks` stays crate-private and
+// everything called through it must keep to its lanes.)
 unsafe impl Send for DevPtr {}
 unsafe impl Sync for DevPtr {}
 
-/// Execute a full cycle (all kernels in `order`) block-parallel: the lane
-/// range is cut into blocks of `block` lanes, claimed from an atomic
-/// counter by `scratches.len()` scoped workers.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_ordered_parallel(
-    fused: &[FusedKernel],
-    order: &[usize],
+/// The one block-parallel driver: call `run(dev, scratch, t0, t1)` over
+/// lanes `[tid0, tid0 + group)` cut into 64-lane-aligned blocks of
+/// `block` lanes, claimed from an atomic counter by up to
+/// `scratches.len()` scoped workers. With one scratch (or one block) it
+/// is a single call on the caller's thread.
+///
+/// `run` must confine itself to lanes `[t0, t1)` of every row and to the
+/// plane words covering them; see the SAFETY argument on [`DevPtr`].
+pub(crate) fn for_lane_blocks(
     dev: &mut DeviceMemory,
     scratches: &mut [Scratch],
     tid0: usize,
     group: usize,
     block: usize,
-    lane_chunk: usize,
+    run: impl Fn(&mut DeviceMemory, &mut Scratch, usize, usize) + Sync,
 ) {
-    let block = block.max(1);
-    let nblocks = group.div_ceil(block);
-    let workers = scratches.len().min(nblocks).max(1);
-    if workers <= 1 || group == 0 {
-        execute_ordered(
-            fused,
-            order,
-            dev,
-            &mut scratches[0],
-            tid0,
-            group,
-            lane_chunk,
-        );
+    if group == 0 {
+        return;
+    }
+    let end = tid0 + group;
+    let w_start = tid0 / 64;
+    let w_end = end.div_ceil(64);
+    let words_per_block = (block / 64).max(1);
+    let nblocks = (w_end - w_start).div_ceil(words_per_block);
+    let workers = scratches.len().min(nblocks);
+    if workers <= 1 {
+        run(dev, &mut scratches[0], tid0, end);
         return;
     }
     let next = AtomicUsize::new(0);
-    let devp = DevPtr(dev as *mut DeviceMemory);
-    let devp = &devp;
-    let next = &next;
+    let devp = DevPtr(dev);
+    let (next, devp, run) = (&next, &devp, &run);
     std::thread::scope(|sc| {
         for scratch in scratches[..workers].iter_mut() {
             sc.spawn(move || loop {
+                // Relaxed: the counter hands out indices and publishes
+                // nothing; the scope's join orders the workers' writes
+                // before the caller's next read.
                 let bi = next.fetch_add(1, Ordering::Relaxed);
                 if bi >= nblocks {
                     break;
                 }
-                let t0 = tid0 + bi * block;
-                let g = block.min(tid0 + group - t0);
-                // SAFETY: blocks are disjoint lane intervals; every op
-                // accesses only its own lanes of each row.
+                let bw0 = w_start + bi * words_per_block;
+                let bw1 = (bw0 + words_per_block).min(w_end);
+                let t0 = (bw0 * 64).max(tid0);
+                let t1 = (bw1 * 64).min(end);
+                // SAFETY: see `DevPtr` — this block's lanes and plane
+                // words belong to no other worker.
                 let dev = unsafe { &mut *devp.0 };
-                execute_ordered(fused, order, dev, scratch, t0, g, lane_chunk);
+                run(dev, scratch, t0, t1);
             });
         }
     });
 }
 
 /// Execute the kernels `order` names for lanes `[tid0, tid0 + group)`
-/// under `exec`: the one place a strategy becomes an executor call.
+/// under `exec`: the one place a config becomes an executor call.
 /// `kernels` is the scalar reference form of the program and `fused` the
-/// same kernels fused. With `bit` absent, `BitPlane` runs the vectorized
-/// engine, which is bit-identical. `scratches` holds at least one
-/// element, one per worker for the parallel strategies. Returns the ops
-/// computed once as scalars instead of once per lane.
+/// same kernels fused. The fused engine picks its data path from what it
+/// is given: a `bit` layout with planes runs the transposed engine
+/// (attaching the planes on first use), no layout or a zero-plane one
+/// runs [`execute_ordered`] over `fused`. `scratches` holds at least one
+/// element, one per worker. Returns the ops computed once as scalars
+/// instead of once per lane.
 #[allow(clippy::too_many_arguments)]
 pub fn run_order(
     kernels: &[Kernel],
@@ -1325,41 +1306,24 @@ pub fn run_order(
     group: usize,
     exec: &ExecConfig,
 ) -> u64 {
-    match (exec.strategy, bit) {
+    let chunk = exec.lane_chunk;
+    match (exec.strategy, bit.filter(|l| l.num_planes() > 0)) {
         (ExecStrategy::Scalar, _) => {
             for &k in order {
                 execute_kernel(&kernels[k], dev, &mut scratches[0], tid0, group);
             }
         }
-        (ExecStrategy::BlockParallel { block, .. }, _) => execute_ordered_parallel(
-            fused,
-            order,
-            dev,
-            scratches,
-            tid0,
-            group,
-            block,
-            exec.lane_chunk,
-        ),
-        (ExecStrategy::BitPlane { block, .. }, Some(bit)) => run_bitplane_cycle(
-            bit,
-            order,
-            dev,
-            scratches,
-            tid0,
-            group,
-            block,
-            exec.lane_chunk,
-        ),
-        (ExecStrategy::Vectorized, _) | (ExecStrategy::BitPlane { .. }, None) => execute_ordered(
-            fused,
-            order,
-            dev,
-            &mut scratches[0],
-            tid0,
-            group,
-            exec.lane_chunk,
-        ),
+        (ExecStrategy::Fused { block, .. }, Some(layout)) => {
+            dev.attach_bitplane(layout);
+            for_lane_blocks(dev, scratches, tid0, group, block, |dev, s, t0, t1| {
+                execute_bitplane_range(layout, order, dev, s, t0, t1, chunk)
+            });
+        }
+        (ExecStrategy::Fused { block, .. }, None) => {
+            for_lane_blocks(dev, scratches, tid0, group, block, |dev, s, t0, t1| {
+                execute_ordered(fused, order, dev, s, t0, t1 - t0, chunk)
+            });
+        }
     }
     scratches
         .iter_mut()
@@ -1443,55 +1407,74 @@ mod tests {
         let mut d2 = seed_dev(n);
         execute_kernel(&k, &mut d1, &mut Scratch::new(), 0, n);
         let mut pool: Vec<Scratch> = (0..3).map(|_| Scratch::new()).collect();
-        execute_ordered_parallel(
+        run_order(
+            std::slice::from_ref(&k),
             &[fk],
+            None,
             &[0],
             &mut d2,
             &mut pool,
             0,
             n,
-            64,
-            DEFAULT_LANE_CHUNK,
+            &ExecConfig::fused(3).with_block(64),
         );
         assert_eq!(d1.var16, d2.var16);
     }
 
     #[test]
+    fn lane_blocks_tile_the_window_on_word_boundaries() {
+        let mut dev = DeviceMemory::new(512, 0, 0, 0, 0);
+        let windows = [
+            (0, 512, 64),
+            (37, 374, 128),
+            (5, 20, 1),
+            (63, 2, 64),
+            (0, 0, 64),
+        ];
+        for (tid0, group, block) in windows {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let mut pool = ExecConfig::fused(4).scratch_pool();
+            for_lane_blocks(&mut dev, &mut pool, tid0, group, block, |_, _, t0, t1| {
+                seen.lock().unwrap().push((t0, t1));
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let mut at = tid0;
+            for (t0, t1) in seen {
+                assert!(t0 == at && t1 > t0, "blocks must tile the window");
+                assert!(t0 == tid0 || t0 % 64 == 0, "boundary {t0} not word-aligned");
+                at = t1;
+            }
+            assert_eq!(at, tid0 + group);
+        }
+    }
+
+    #[test]
     fn exec_config_parse() {
         assert_eq!(ExecConfig::parse("scalar").unwrap(), ExecConfig::scalar());
+        assert_eq!(ExecConfig::parse("fused").unwrap(), ExecConfig::default());
         assert_eq!(
-            ExecConfig::parse("vector").unwrap(),
-            ExecConfig::vectorized()
-        );
-        assert_eq!(
-            ExecConfig::parse("par:8").unwrap().strategy,
-            ExecStrategy::BlockParallel {
+            ExecConfig::parse("fused:8").unwrap().strategy,
+            ExecStrategy::Fused {
                 threads: 8,
                 block: DEFAULT_BLOCK
             }
         );
         assert_eq!(
-            ExecConfig::parse("bitpar").unwrap().strategy,
-            ExecStrategy::BitPlane {
-                threads: 1,
-                block: DEFAULT_BLOCK
-            }
-        );
-        assert_eq!(
-            ExecConfig::parse("bitpar:0:2048").unwrap().strategy,
-            ExecStrategy::BitPlane {
+            ExecConfig::parse("fused:0:2048").unwrap().strategy,
+            ExecStrategy::Fused {
                 threads: 0,
                 block: 2048
             }
         );
         assert!(ExecConfig::parse("wat").is_err());
-        assert!(ExecConfig::parse("vector@zero").is_err());
+        assert!(ExecConfig::parse("fused@zero").is_err());
     }
 
     #[test]
     fn exec_config_parse_rejects_trailing_garbage() {
         assert_eq!(
-            ExecConfig::parse("vector@1024junk"),
+            ExecConfig::parse("fused@1024junk"),
             Err(ExecSpecError::BadNumber {
                 what: "lane-chunk",
                 token: "1024junk".to_string()
@@ -1504,60 +1487,61 @@ mod tests {
             })
         );
         assert_eq!(
-            ExecConfig::parse("par:4:1024:9"),
+            ExecConfig::parse("fused:4:1024:9"),
             Err(ExecSpecError::TrailingInput {
                 rest: "9".to_string()
             })
         );
         assert_eq!(
-            ExecConfig::parse("par:+4"),
+            ExecConfig::parse("fused:+4"),
             Err(ExecSpecError::BadNumber {
                 what: "thread count",
                 token: "+4".to_string()
             })
         );
         assert_eq!(
-            ExecConfig::parse("bitpar:"),
+            ExecConfig::parse("fused:"),
             Err(ExecSpecError::BadNumber {
                 what: "thread count",
                 token: String::new()
             })
         );
-        assert_eq!(
-            ExecConfig::parse("warp"),
-            Err(ExecSpecError::UnknownStrategy {
-                token: "warp".to_string()
-            })
-        );
+        // The heads of the strategies that were folded into `fused` are
+        // unknown like any other word, not aliases.
+        for head in ["warp", "vector", "vectorized", "par", "parallel", "bitpar"] {
+            for spec in [head.to_string(), format!("{head}:2"), format!("{head}@64")] {
+                let token = head.to_string();
+                assert_eq!(
+                    ExecConfig::parse(&spec),
+                    Err(ExecSpecError::UnknownStrategy { token }),
+                    "`{spec}`"
+                );
+            }
+        }
         // Errors render with the grammar hint for the CLI.
-        let msg = ExecConfig::parse("vector@1024junk")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("lane-chunk") && msg.contains("bitpar"));
+        let msg = ExecConfig::parse("fused@1024junk").unwrap_err().to_string();
+        assert!(msg.contains("lane-chunk") && msg.contains("fused[:threads[:block]]"));
     }
 
     #[test]
     fn exec_config_spec_round_trips() {
         for spec in [
             ExecConfig::scalar(),
-            ExecConfig::vectorized(),
-            ExecConfig::vectorized().with_lane_chunk(512),
-            ExecConfig::parallel(4),
-            ExecConfig::parallel(4).with_block(2048),
-            ExecConfig::parallel(0).with_block(4096).with_lane_chunk(64),
-            ExecConfig::bitplane(1),
-            ExecConfig::bitplane(0),
-            ExecConfig::bitplane(8).with_block(128),
-            ExecConfig::bitplane(2).with_lane_chunk(64),
+            ExecConfig::scalar().with_lane_chunk(64),
+            ExecConfig::fused(1),
+            ExecConfig::fused(1).with_lane_chunk(512),
+            ExecConfig::fused(1).with_block(128),
+            ExecConfig::fused(0),
+            ExecConfig::fused(4).with_block(2048),
+            ExecConfig::fused(0).with_block(4096).with_lane_chunk(64),
         ] {
             assert_eq!(ExecConfig::parse(&spec.spec()).unwrap(), spec);
         }
         assert_eq!(
-            ExecConfig::parse("par:4:2048@128").unwrap(),
-            ExecConfig::parallel(4)
-                .with_block(2048)
-                .with_lane_chunk(128)
+            ExecConfig::parse("fused:4:2048@128").unwrap(),
+            ExecConfig::fused(4).with_block(2048).with_lane_chunk(128)
         );
-        assert_eq!(ExecConfig::bitplane(1).spec(), "bitpar");
+        assert_eq!(ExecConfig::default().spec(), "fused");
+        assert_eq!(ExecConfig::bitplane(2), ExecConfig::fused(2));
     }
 }

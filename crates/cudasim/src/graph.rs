@@ -46,8 +46,8 @@ pub struct CudaGraph {
     pub fused: Vec<FusedKernel>,
     /// Uniform-slot analysis the fusion was specialized against.
     pub uniform: Option<SlotUniform>,
-    /// Bit-transposed layout for the [`crate::ExecStrategy::BitPlane`] strategy
-    /// (`None` falls back to vectorized execution under that strategy).
+    /// Bit-transposed layout of the design (`None`, like a zero-plane
+    /// layout, runs the fused engine over the width-bucketed rows alone).
     pub bit: Option<BitLayout>,
 }
 
@@ -60,7 +60,7 @@ impl CudaGraph {
 
     /// Validate and instantiate with both analyses: the uniform-slot
     /// specialization and (optionally) a precompiled bit-transposed
-    /// layout for [`crate::ExecStrategy::BitPlane`].
+    /// layout.
     pub fn instantiate_full(
         ir: TaskGraphIr,
         model: &GpuModel,
@@ -128,7 +128,7 @@ pub struct CycleTiming {
 pub struct GpuRuntime {
     pub model: GpuModel,
     sm: Resource,
-    /// Functional-execution strategy (scalar / vectorized / parallel).
+    /// Functional-execution config (scalar oracle or the fused engine).
     pub exec: ExecConfig,
     /// Per-worker scratch pool for block-parallel execution.
     par_scratch: Vec<Scratch>,
@@ -194,9 +194,9 @@ impl GpuRuntime {
         ready: Time,
         trace: Option<&mut Trace>,
     ) -> CycleTiming {
-        // Functional execution (identical for both modes and all
+        // Functional execution (identical for both modes and both
         // strategies — bit-exactness is enforced by differential tests),
-        // then timing. Serial strategies run on the caller's scratch.
+        // then timing. A serial config runs on the caller's scratch.
         let scratches = if self.par_scratch.len() > 1 {
             &mut self.par_scratch[..]
         } else {

@@ -29,14 +29,13 @@ pub mod ir;
 pub mod model;
 
 pub use bitplane::{
-    pack_bit_lanes, run_bitplane_cycle, unpack_bit_lanes, BOp, BitLayout, BitProgram,
-    BitplaneMemory, EscapeRead,
+    pack_bit_lanes, unpack_bit_lanes, BOp, BitLayout, BitProgram, BitplaneMemory, EscapeRead,
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use device::{execute_kernel, DeviceMemory, Scratch};
 pub use exec::{
-    execute_fused, execute_ordered, execute_ordered_parallel, run_order, ExecConfig, ExecSpecError,
-    ExecStrategy, DEFAULT_BLOCK, DEFAULT_LANE_CHUNK,
+    execute_fused, execute_ordered, run_order, ExecConfig, ExecSpecError, ExecStrategy,
+    DEFAULT_BLOCK, DEFAULT_LANE_CHUNK,
 };
 pub use fuse::{
     fuse_graph, fuse_graph_with, fuse_kernel, fuse_kernel_with, ExecStats, FOp, FuseConfig,

@@ -159,10 +159,10 @@ impl PartEngine {
     /// Execute one phase under `exec`. `scratches` must hold at least one
     /// element (one per worker thread for block-parallel execution).
     ///
-    /// `BitPlane` downgrades to the vectorized word-domain executor: the
-    /// phase split slices the schedule mid-cycle, which the transposed
-    /// layout's attach/detach life cycle does not support — and every
-    /// strategy is bit-identical, so only throughput differs.
+    /// No bit layout is handed to the engine, so it runs the word-domain
+    /// path: the phase split slices the schedule mid-cycle, which the
+    /// transposed layout's attach life cycle does not support — and both
+    /// paths are bit-identical, so only throughput differs.
     pub fn run_phase(
         &self,
         phase: &[usize],

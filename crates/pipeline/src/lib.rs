@@ -78,9 +78,9 @@ pub struct PipelineConfig {
     pub pipelined: bool,
     /// CUDA execution mode per group-cycle.
     pub mode: ExecMode,
-    /// Functional execution strategy (scalar reference, vectorized, or
-    /// block-parallel). Timing is unaffected; only host wall-clock and
-    /// bit-exact functional results flow from this.
+    /// Functional execution config (the scalar oracle, or the fused
+    /// engine and its thread count). Timing is unaffected; only host
+    /// wall-clock and bit-exact functional results flow from this.
     pub exec: ExecConfig,
     pub host: HostModel,
 }

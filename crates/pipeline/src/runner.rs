@@ -233,12 +233,10 @@ mod tests {
     fn every_strategy_matches_scalar_at_awkward_group_lengths() {
         let (design, program, map) = setup();
         let strategies = [
-            ExecConfig::vectorized(),
-            ExecConfig::vectorized().with_lane_chunk(7),
-            ExecConfig::parallel(2),
-            ExecConfig::parallel(3).with_block(64),
-            ExecConfig::bitplane(1),
-            ExecConfig::bitplane(2).with_block(64),
+            ExecConfig::fused(1),
+            ExecConfig::fused(1).with_lane_chunk(7),
+            ExecConfig::fused(2),
+            ExecConfig::fused(3).with_block(64),
         ];
         for len in [1usize, 63, 64, 65, 257] {
             let src = stimulus::RiscvSource::new(&map, len, 0x77);

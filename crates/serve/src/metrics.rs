@@ -60,7 +60,7 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    pub(crate) fn record_dispatch(&mut self, jobs: usize, total_stimulus: usize, cache_hit: bool) {
+    pub(crate) fn record_dispatch(&mut self, total_stimulus: usize, cache_hit: bool) {
         self.dispatches += 1;
         self.stimulus_dispatched += total_stimulus as u64;
         let bucket = (usize::BITS - 1 - total_stimulus.max(1).leading_zeros()) as usize;
@@ -70,7 +70,6 @@ impl ServeMetrics {
         } else {
             self.cache_misses += 1;
         }
-        let _ = jobs;
     }
 
     pub(crate) fn record_wait(&mut self, wait: Duration) {
@@ -266,10 +265,10 @@ mod tests {
     #[test]
     fn histogram_buckets_by_power_of_two() {
         let mut m = ServeMetrics::default();
-        m.record_dispatch(1, 1, true); // bucket 0
-        m.record_dispatch(1, 3, true); // bucket 1 (2..3)
-        m.record_dispatch(1, 4, true); // bucket 2 (4..7)
-        m.record_dispatch(2, 1024, false); // bucket 10
+        m.record_dispatch(1, true); // bucket 0
+        m.record_dispatch(3, true); // bucket 1 (2..3)
+        m.record_dispatch(4, true); // bucket 2 (4..7)
+        m.record_dispatch(1024, false); // bucket 10
         assert_eq!(m.batch_size_buckets[0], 1);
         assert_eq!(m.batch_size_buckets[1], 1);
         assert_eq!(m.batch_size_buckets[2], 1);
@@ -318,7 +317,7 @@ mod tests {
     #[test]
     fn json_snapshot_carries_pool_counters() {
         let mut m = ServeMetrics::default();
-        m.record_dispatch(2, 24, false);
+        m.record_dispatch(24, false);
         m.pool_dispatches = 1;
         m.pool_steals = 3;
         let j = m.to_json().to_string();

@@ -89,8 +89,9 @@ pub struct ServeConfig {
     /// pipeline; more than one entry routes every launch through the
     /// sharded multi-device executor.
     pub devices: Vec<f64>,
-    /// Functional execution strategy forwarded to the pipeline/shard
-    /// executors (scalar reference, vectorized, or block-parallel).
+    /// Functional execution config forwarded to the pipeline/shard
+    /// executors (the scalar oracle, or the fused engine and its thread
+    /// count).
     pub exec: cudasim::ExecConfig,
     /// Optional remote overflow backend: large coalesced batches of
     /// cluster-registered designs route to remote workers once the
@@ -551,7 +552,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
         Ok(e) => e,
         Err(error) => {
             let mut m = shared.metrics.lock().expect("metrics poisoned");
-            m.record_dispatch(n_jobs, total, cache_hit);
+            m.record_dispatch(total, cache_hit);
             m.jobs_failed += n_jobs as u64;
             drop(m);
             for job in batch.jobs {
@@ -747,7 +748,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
 
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.record_dispatch(n_jobs, total, cache_hit);
+        m.record_dispatch(total, cache_hit);
         m.record_service_time(elapsed / n_jobs as u32);
         for meta in &metas {
             m.record_wait(dispatched_at.duration_since(meta.accepted_at));

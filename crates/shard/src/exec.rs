@@ -45,8 +45,8 @@ pub struct ShardConfig {
     pub group_size: usize,
     /// CUDA execution mode per group-cycle.
     pub mode: ExecMode,
-    /// Functional execution strategy per device (scalar reference,
-    /// vectorized, or block-parallel).
+    /// Functional execution config per device (the scalar oracle, or the
+    /// fused engine and its thread count).
     pub exec: ExecConfig,
     /// The shared host. Defaults to the paper's Machine 1 (80-thread
     /// Xeon): a multi-device pool needs server-class `set_inputs`

@@ -63,8 +63,9 @@ pub struct KernelProgram {
     pub uniform: SlotUniform,
     /// Fused per-kernel programs (built once here, cached for every cycle).
     pub fused: Vec<FusedKernel>,
-    /// Bit-transposed layout for [`cudasim::ExecStrategy::BitPlane`] execution
-    /// (1-bit control signals packed 64 stimuli per word).
+    /// Bit-transposed layout of the design (1-bit control signals packed
+    /// 64 stimuli per word). Zero planes on a design with no bit-domain
+    /// logic, which then runs `fused` over the whole order.
     pub bit: BitLayout,
 }
 
@@ -247,8 +248,8 @@ impl KernelProgram {
         );
     }
 
-    /// Execute one cycle under an explicit strategy. `scratches` must hold
-    /// at least one element (one per worker for block-parallel execution).
+    /// Execute one cycle under `exec`. `scratches` must hold at least one
+    /// element (one per worker for block-parallel execution).
     /// Returns the ops computed once as scalars instead of once per lane.
     pub fn run_cycle_exec(
         &self,

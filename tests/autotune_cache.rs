@@ -30,7 +30,7 @@ fn sample_artifact(hash: u64) -> TunedArtifact {
     TunedArtifact {
         design_hash: hash,
         design_name: "sample".into(),
-        exec: ExecConfig::vectorized().with_lane_chunk(512),
+        exec: ExecConfig::default().with_lane_chunk(512),
         fuse: cudasim::FuseConfig {
             const_fold_min_ops: 4,
             superop_min_ops: 16,
@@ -239,9 +239,7 @@ fn tuned_configs_are_bit_identical_to_scalar_reference() {
         let mut dev_tuned = tuned_prog.plan.alloc_device(n);
         let mut scratch_ref = vec![Scratch::new()];
         let exec = report.artifact.exec;
-        let mut scratch_tuned: Vec<Scratch> = (0..exec.thread_count().max(1))
-            .map(|_| Scratch::new())
-            .collect();
+        let mut scratch_tuned = exec.scratch_pool();
 
         for c in 0..cycles {
             for s in 0..n {

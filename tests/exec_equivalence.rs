@@ -1,12 +1,14 @@
-//! Differential equivalence of the execution engines: the fused +
-//! vectorized executor and the block-parallel executor must be
-//! bit-identical to the scalar reference interpreter —
+//! Differential equivalence of the execution engine: the fused engine —
+//! with no layout, with a bit-transposed layout on one thread, and with
+//! the layout on several threads over misaligned lane windows — must be
+//! bit-identical to the scalar reference interpreter, checkpoints through
+//! the transposed region included —
 //!
 //! * on randomly generated (but valid) kernel IR over randomly
 //!   initialized device memory, for every width bucket, including
 //!   out-of-range `LoadIdx` (reads as 0) and guarded `StoreIdxCond`,
 //!   for full, partial, and single-lane tid ranges, and
-//! * on the three benchmark designs over real stimulus.
+//! * on the benchmark designs over real stimulus.
 //!
 //! The uniform-slot analysis runs for real on every fuzzed graph; slots
 //! it proves lane-invariant are seeded with broadcast values (the
@@ -14,9 +16,8 @@
 //! per-lane random data.
 
 use cudasim::{
-    execute_kernel, execute_ordered, execute_ordered_parallel, fuse_graph, run_bitplane_cycle,
-    BitLayout, Bucket, Checkpoint, DeviceMemory, ExecConfig, FuseConfig, KBin, KUn, Kernel, Op,
-    Scratch, Slot, SlotUniform, TaskGraphIr,
+    execute_kernel, fuse_graph, run_order, BitLayout, Bucket, Checkpoint, DeviceMemory, ExecConfig,
+    FuseConfig, KBin, KUn, Kernel, Op, Scratch, Slot, SlotUniform, TaskGraphIr,
 };
 use rtlflow::{Benchmark, Flow, NvdlaScale, PortMap};
 use stimulus::StimulusSource;
@@ -42,7 +43,7 @@ impl Rng {
 }
 
 /// Elements allocated per bucket in the fuzzed device.
-const LENS: [u32; 4] = [6, 6, 6, 6];
+const LENS: [u32; 4] = [12, 6, 6, 6];
 
 const BUCKETS: [Bucket; 4] = [Bucket::B8, Bucket::B16, Bucket::B32, Bucket::B64];
 
@@ -87,9 +88,15 @@ fn rand_slot(rng: &mut Rng) -> Slot {
 }
 
 /// Base slot + depth for a memory op, staying inside the allocation
-/// (the `load_idx` extent assertion enforces this).
-fn rand_mem(rng: &mut Rng) -> (Slot, u32) {
-    let bi = rng.below(4) as usize;
+/// (the `load_idx` extent assertion enforces this). `wide_only` keeps
+/// memories out of `var8`, where a wide indexed store would break the
+/// 0/1 contract of a one-bit slot.
+fn rand_mem(rng: &mut Rng, wide_only: bool) -> (Slot, u32) {
+    let bi = if wide_only {
+        1 + rng.below(3) as usize
+    } else {
+        rng.below(4) as usize
+    };
     let len = LENS[bi];
     let offset = rng.below(len as u64 - 1) as u32;
     let depth = 1 + rng.below((len - offset) as u64) as u32;
@@ -104,11 +111,32 @@ fn rand_mem(rng: &mut Rng) -> (Slot, u32) {
 
 /// Generate a random kernel that upholds the write-before-read
 /// invariant `Kernel::validate` enforces.
-fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
+///
+/// The first `one_bit` `var8` slots are 1-bit signals: every store to
+/// them is width 1, so with a 0/1 seed they only ever hold 0/1. With none
+/// the generator is unbiased. Otherwise every other op is a *bit-domain*
+/// one: operands from the registers that hold 0/1 values by construction,
+/// width 1, one-bit slots, which also keeps the IR's own contract that a
+/// width-`w` op is fed `w`-bit values. The remaining ops mostly keep off
+/// those registers, because a single word-domain reader drags the whole
+/// cone that produced its operand into the word domain; one draw in eight
+/// reads them anyway, which is where mixed cones, escapes and demotions
+/// come from. Without the bias a random kernel forms no bit cone at all
+/// and every layout compiles to zero planes.
+fn gen_kernel(rng: &mut Rng, name: &str, one_bit: u32) -> Kernel {
+    let is_one_bit = |s: &Slot| s.bucket == Bucket::B8 && s.offset < one_bit;
     let mut ops = Vec::new();
     let mut written: Vec<u16> = Vec::new();
+    // Registers whose current value is 0/1 by construction.
+    let mut bits: Vec<u16> = Vec::new();
     let n_ops = 16 + rng.below(48) as usize;
     for _ in 0..n_ops {
+        let bit_op = !bits.is_empty() && rng.below(2) == 0;
+        let words: Vec<u16> = written
+            .iter()
+            .copied()
+            .filter(|r| !bits.contains(r))
+            .collect();
         // A dst is a fresh register (capped) or an overwrite.
         let dst = |rng: &mut Rng, written: &mut Vec<u16>| -> u16 {
             if written.len() < 12 || rng.below(3) == 0 {
@@ -119,9 +147,38 @@ fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
                 written[rng.below(written.len() as u64) as usize]
             }
         };
-        let src =
-            |rng: &mut Rng, written: &[u16]| written[rng.below(written.len() as u64) as usize];
-        let width = |rng: &mut Rng| 1 + rng.below(64) as u32;
+        let src = |rng: &mut Rng, written: &[u16]| {
+            let pool = if bit_op {
+                &bits[..]
+            } else if !words.is_empty() && rng.below(8) > 0 {
+                &words[..]
+            } else {
+                written
+            };
+            pool[rng.below(pool.len() as u64) as usize]
+        };
+        let width = |rng: &mut Rng| {
+            if bit_op {
+                1
+            } else {
+                1 + rng.below(64) as u32
+            }
+        };
+        let slot = |rng: &mut Rng| {
+            if bit_op {
+                Slot {
+                    bucket: Bucket::B8,
+                    offset: rng.below(one_bit as u64) as u32,
+                }
+            } else if one_bit > 0 && rng.below(2) == 0 {
+                Slot {
+                    bucket: Bucket::B8,
+                    offset: rng.below(LENS[0] as u64) as u32,
+                }
+            } else {
+                rand_slot(rng)
+            }
+        };
 
         let choice = if written.len() < 2 {
             rng.below(2)
@@ -131,17 +188,20 @@ fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
         let op = match choice {
             0 => Op::Const {
                 dst: dst(rng, &mut written),
-                value: rng.next(),
+                value: if bit_op { rng.below(2) } else { rng.next() },
             },
             1 => Op::Load {
                 dst: dst(rng, &mut written),
-                slot: rand_slot(rng),
+                slot: slot(rng),
             },
-            2 | 3 => Op::Store {
-                src: src(rng, &written),
-                slot: rand_slot(rng),
-                width: width(rng),
-            },
+            2 | 3 => {
+                let slot = slot(rng);
+                Op::Store {
+                    src: src(rng, &written),
+                    slot,
+                    width: if is_one_bit(&slot) { 1 } else { width(rng) },
+                }
+            }
             // Sources are sampled BEFORE dst: dst may mint a fresh
             // register, which must not be readable by the same op.
             4 => {
@@ -162,8 +222,8 @@ fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
                     b,
                 }
             }
-            6 => {
-                let (slot, depth) = rand_mem(rng);
+            6 if !bit_op => {
+                let (slot, depth) = rand_mem(rng, one_bit > 0);
                 let idx = src(rng, &written);
                 Op::LoadIdx {
                     dst: dst(rng, &mut written),
@@ -172,8 +232,8 @@ fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
                     depth,
                 }
             }
-            7 => {
-                let (slot, depth) = rand_mem(rng);
+            7 if !bit_op => {
+                let (slot, depth) = rand_mem(rng, one_bit > 0);
                 Op::StoreIdxCond {
                     src: src(rng, &written),
                     slot,
@@ -194,6 +254,20 @@ fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
                 }
             }
         };
+        if let (true, Some(d)) = (one_bit > 0, op.dst()) {
+            let from_bits = op.srcs().iter().all(|r| bits.contains(r));
+            let is_bit = match &op {
+                Op::Const { value, .. } => *value <= 1,
+                Op::Load { slot, .. } => is_one_bit(slot),
+                Op::Bin { width, .. } | Op::Un { width, .. } => *width == 1 && from_bits,
+                Op::Mux { .. } => from_bits,
+                _ => false,
+            };
+            bits.retain(|&r| r != d);
+            if is_bit {
+                bits.push(d);
+            }
+        }
         ops.push(op);
     }
     Kernel::new(name, ops)
@@ -201,8 +275,10 @@ fn gen_kernel(rng: &mut Rng, name: &str) -> Kernel {
 
 /// A chain-dependency task graph of `k` random kernels plus the real
 /// uniform-slot analysis over random non-uniform roots.
-fn gen_graph(rng: &mut Rng, k: usize) -> (TaskGraphIr, SlotUniform) {
-    let kernels: Vec<Kernel> = (0..k).map(|i| gen_kernel(rng, &format!("fz{i}"))).collect();
+fn gen_graph(rng: &mut Rng, k: usize, one_bit: u32) -> (TaskGraphIr, SlotUniform) {
+    let kernels: Vec<Kernel> = (0..k)
+        .map(|i| gen_kernel(rng, &format!("fz{i}"), one_bit))
+        .collect();
     let deps = (0..k)
         .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
         .collect();
@@ -250,63 +326,9 @@ fn seed_device(rng: &mut Rng, uniform: &SlotUniform, n: usize) -> DeviceMemory {
     dev
 }
 
-fn assert_devices_equal(a: &DeviceMemory, b: &DeviceMemory, what: &str, trial: u64) {
-    assert_eq!(a.var8, b.var8, "{what} diverged in var8 (trial {trial})");
-    assert_eq!(a.var16, b.var16, "{what} diverged in var16 (trial {trial})");
-    assert_eq!(a.var32, b.var32, "{what} diverged in var32 (trial {trial})");
-    assert_eq!(a.var64, b.var64, "{what} diverged in var64 (trial {trial})");
-}
-
-fn run_trial(trial: u64, n: usize, tid0: usize, group: usize) {
-    let mut rng = Rng::new(trial);
-    let k = 1 + rng.below(3) as usize;
-    let (ir, uniform) = gen_graph(&mut rng, k);
-    let order: Vec<usize> = (0..ir.kernels.len()).collect();
-    let fused = fuse_graph(&ir, Some(&uniform));
-    let seed_dev = seed_device(&mut rng, &uniform, n);
-
-    // Scalar reference.
-    let mut dev_s = seed_dev.clone();
-    let mut scratch = Scratch::new();
-    for &k in &order {
-        execute_kernel(&ir.kernels[k], &mut dev_s, &mut scratch, tid0, group);
-    }
-
-    // Fused + vectorized, with a fuzzed lane-chunk size (including the
-    // degenerate chunk of 1 and chunks larger than the lane range).
-    let chunk = [1usize, 3, 17, 64, 256, 1000][rng.below(6) as usize];
-    let mut dev_v = seed_dev.clone();
-    let mut scratch_v = Scratch::new();
-    execute_ordered(
-        &fused,
-        &order,
-        &mut dev_v,
-        &mut scratch_v,
-        tid0,
-        group,
-        chunk,
-    );
-    assert_devices_equal(&dev_s, &dev_v, "vectorized", trial);
-
-    // Block-parallel with deliberately ragged blocks.
-    let mut dev_p = seed_dev.clone();
-    let mut scratches: Vec<Scratch> = (0..4).map(|_| Scratch::new()).collect();
-    let block = 1 + rng.below(7) as usize;
-    execute_ordered_parallel(
-        &fused,
-        &order,
-        &mut dev_p,
-        &mut scratches,
-        tid0,
-        group,
-        block,
-        chunk,
-    );
-    assert_devices_equal(&dev_s, &dev_p, "block-parallel", trial);
-}
-
-/// Like [`assert_devices_equal`] but `b` may have a bit-transposed
-/// region attached: its `var8` is compared in canonical form.
+/// Full device state of `b` against the scalar reference's. `b` may have
+/// a bit-transposed region attached: its `var8` is compared in canonical
+/// form.
 fn assert_matches_reference(a: &DeviceMemory, b: &DeviceMemory, what: &str, trial: u64) {
     assert_eq!(
         a.var8,
@@ -318,29 +340,37 @@ fn assert_matches_reference(a: &DeviceMemory, b: &DeviceMemory, what: &str, tria
     assert_eq!(a.var64, b.var64, "{what} diverged in var64 (trial {trial})");
 }
 
-/// Bit-transposed differential trial. Every B8 slot is probabilistically
-/// declared a width-1 input root (the rest stay width-8), the layout is
-/// compiled over the same fuzzed graph and uniform analysis, and the
-/// seeds of every slot the layout actually transposed are masked to 0/1
-/// — the contract a width-1 root makes. Serial and parallel bitpar runs,
-/// plus a checkpoint round-trip through the transposed region, must all
-/// stay bit-identical to the scalar reference across multiple cycles.
-fn run_bit_trial(trial: u64, n: usize, tid0: usize, group: usize) {
-    let mut rng = Rng::new(trial ^ 0xb17b17);
+/// One differential trial: a fuzzed graph over a seeded device, three
+/// cycles on lanes `[tid0, tid0 + group)`, the fused engine four ways —
+/// without and with the compiled layout, on one thread and on four over
+/// 64-lane blocks, with a fuzzed lane-chunk size (including the
+/// degenerate chunk of 1 and chunks larger than the lane range) — each
+/// bit-identical to the scalar reference after every cycle, plus a
+/// checkpoint round-trip through the transposed region.
+///
+/// A `biased` trial declares the first half to all of the `var8` slots
+/// 1-bit signals: width-1 input roots that the graph only ever stores at
+/// width 1 and whose seeds are masked to 0/1, the contract a width-1 root
+/// makes (the rest stay width-8). Returns whether the layout kept any
+/// plane: one that did not runs the no-layout path all four ways, and the
+/// bit trials check that enough of them are not of that kind.
+fn run_trial(trial: u64, n: usize, tid0: usize, group: usize, biased: bool) -> bool {
+    let mut rng = Rng::new(if biased { trial ^ 0xb17b17 } else { trial });
     let k = 1 + rng.below(3) as usize;
-    let (ir, uniform) = gen_graph(&mut rng, k);
+    let one_bit = if biased {
+        LENS[0] / 2 + rng.below(LENS[0] as u64 / 2) as u32
+    } else {
+        0
+    };
+    let (ir, uniform) = gen_graph(&mut rng, k, one_bit);
     let order: Vec<usize> = (0..ir.kernels.len()).collect();
+    let fused = fuse_graph(&ir, Some(&uniform));
+    let b8 = |offset: u32| Slot {
+        bucket: Bucket::B8,
+        offset,
+    };
     let bit_roots: Vec<(Slot, u32)> = (0..LENS[0])
-        .map(|off| {
-            let width = if rng.below(3) > 0 { 1 } else { 8 };
-            (
-                Slot {
-                    bucket: Bucket::B8,
-                    offset: off,
-                },
-                width,
-            )
-        })
+        .map(|o| (b8(o), if o < one_bit { 1 } else { 8 }))
         .collect();
     let layout = BitLayout::compile(
         &ir,
@@ -349,197 +379,186 @@ fn run_bit_trial(trial: u64, n: usize, tid0: usize, group: usize) {
         Some(&uniform),
         &FuseConfig::default(),
     );
-    let mut seed_dev = seed_device(&mut rng, &uniform, n);
-    for off in 0..LENS[0] {
-        if layout.plane_of(off).is_none() {
-            continue;
-        }
-        let slot = Slot {
-            bucket: Bucket::B8,
-            offset: off,
-        };
+    let mut dev_s = seed_device(&mut rng, &uniform, n);
+    for o in 0..one_bit {
         for tid in 0..n {
-            let v = seed_dev.load(slot, tid) & 1;
-            seed_dev.store(slot, tid, v);
+            let v = dev_s.load(b8(o), tid) & 1;
+            dev_s.store(b8(o), tid, v);
         }
     }
 
-    let mut dev_s = seed_dev.clone();
-    let mut dev_b = seed_dev.clone();
-    let mut dev_p = seed_dev;
+    let chunk = [1usize, 3, 17, 64, 256, 1000][rng.below(6) as usize];
+    // (worker threads, whether the engine is handed the layout)
+    let engines = [(1, false), (4, false), (1, true), (4, true)];
+    let mut devs = vec![dev_s.clone(); engines.len()];
     let mut scratch = Scratch::new();
-    let mut s1 = vec![Scratch::new()];
-    let mut s4: Vec<Scratch> = (0..4).map(|_| Scratch::new()).collect();
-    let chunk = [1usize, 17, 256][rng.below(3) as usize];
     for cycle in 0..3u64 {
         for &k in &order {
             execute_kernel(&ir.kernels[k], &mut dev_s, &mut scratch, tid0, group);
         }
-        run_bitplane_cycle(
-            &layout, &order, &mut dev_b, &mut s1, tid0, group, 1024, chunk,
-        );
-        run_bitplane_cycle(&layout, &order, &mut dev_p, &mut s4, tid0, group, 64, chunk);
-        assert_matches_reference(&dev_s, &dev_b, "bitpar-serial", trial);
-        assert_matches_reference(&dev_s, &dev_p, "bitpar-parallel", trial);
+        for (&(threads, with_layout), dev) in engines.iter().zip(&mut devs) {
+            let exec = ExecConfig::fused(threads)
+                .with_block(64)
+                .with_lane_chunk(chunk);
+            run_order(
+                &ir.kernels,
+                &fused,
+                with_layout.then_some(&layout),
+                &order,
+                dev,
+                &mut exec.scratch_pool(),
+                tid0,
+                group,
+                &exec,
+            );
+            let what = format!("fused:{threads} layout={with_layout}");
+            assert_matches_reference(&dev_s, dev, &what, trial);
+        }
 
         // Checkpoint images are canonical: capturing from the attached
         // device must equal capturing from the scalar reference, and a
         // restore into the attached device must leave the next cycle
         // bit-identical.
         let ck_s = Checkpoint::capture(&dev_s, 1, cycle, tid0 as u64);
-        let ck_b = Checkpoint::capture(&dev_b, 1, cycle, tid0 as u64);
+        let ck_b = Checkpoint::capture(&devs[2], 1, cycle, tid0 as u64);
         assert_eq!(ck_s, ck_b, "checkpoint diverged (trial {trial})");
-        ck_s.restore_into(&mut dev_p).unwrap();
+        ck_s.restore_into(&mut devs[3]).unwrap();
     }
+    layout.num_planes() > 0
+}
+
+/// Every plane of a compiled layout is touched by a bit op, so a fuzzed
+/// graph with no surviving bit-domain cone compiles to zero planes (about
+/// half do: one word-fed store or one escape-and-store hazard demotes a
+/// slot, and demotions cascade). The bit trials are only worth their name
+/// while a good share of them is really transposed.
+fn assert_enough_transposed(transposed: usize, trials: usize) {
+    assert!(
+        transposed * 3 > trials,
+        "only {transposed} of {trials} bit trials kept a plane: the generator no longer \
+         forms bit-domain cones"
+    );
 }
 
 #[test]
 fn fuzzed_bitplane_full_range() {
-    for trial in 200..236 {
-        let n = [1usize, 2, 5, 33, 64, 200][trial as usize % 6];
-        run_bit_trial(trial, n, 0, n);
-    }
+    let transposed = (200..236)
+        .filter(|&trial| {
+            let n = [1usize, 2, 5, 33, 64, 200][trial as usize % 6];
+            run_trial(trial, n, 0, n, true)
+        })
+        .count();
+    assert_enough_transposed(transposed, 36);
 }
 
 #[test]
 fn fuzzed_bitplane_partial_and_misaligned_ranges() {
-    for trial in 300..324 {
-        // Sub-word, word-straddling, and single-lane windows.
-        run_bit_trial(trial, 33, 1, 31);
-        run_bit_trial(trial, 200, 37, 97);
-        run_bit_trial(trial, 8, 7, 1);
-        run_bit_trial(trial, 16, 0, 0);
-    }
+    let transposed = (300..324)
+        .filter(|&trial| {
+            // Sub-word, word-straddling, and single-lane windows.
+            run_trial(trial, 33, 1, 31, true);
+            run_trial(trial, 8, 7, 1, true);
+            run_trial(trial, 16, 0, 0, true);
+            run_trial(trial, 200, 37, 97, true)
+        })
+        .count();
+    assert_enough_transposed(transposed, 24);
 }
 
 #[test]
 fn fuzzed_kernels_full_range() {
     for trial in 0..48 {
-        let n = [1usize, 2, 5, 33, 64][trial as usize % 5];
-        run_trial(trial, n, 0, n);
+        let n = [1usize, 2, 5, 33, 64, 200][trial as usize % 6];
+        run_trial(trial, n, 0, n, false);
     }
 }
 
 #[test]
 fn fuzzed_kernels_partial_and_single_lane_ranges() {
     for trial in 100..130 {
-        run_trial(trial, 33, 1, 31);
-        run_trial(trial, 8, 7, 1);
-        run_trial(trial, 16, 0, 0);
+        run_trial(trial, 33, 1, 31, false);
+        run_trial(trial, 200, 37, 97, false);
+        run_trial(trial, 8, 7, 1, false);
+        run_trial(trial, 16, 0, 0, false);
     }
 }
 
-/// The lane-chunk size is a pure scheduling knob: every chunk size —
-/// degenerate (1), sub-default (64), default (256), and a non-power-of-
-/// two larger than the batch (1000) — must leave the device state
-/// bit-identical to the scalar reference under both the vectorized and
-/// block-parallel strategies.
-#[test]
-fn lane_chunk_sizes_are_bit_identical() {
-    let flow = Flow::from_benchmark(Benchmark::Nvdla(NvdlaScale::Tiny)).unwrap();
+/// Drive `b` with its idiomatic stimulus under every engine — a config,
+/// and whether it is handed the program's compiled layout — and compare
+/// each engine's full device state to the first one's, every cycle.
+fn compare_engines(b: Benchmark, n: usize, cycles: u64, engines: &[(ExecConfig, bool)]) {
+    let flow = Flow::from_benchmark(b).unwrap();
+    let p = &flow.program;
     let map = PortMap::from_design(&flow.design);
-    let n = 33usize; // deliberately not a multiple of any chunk size
-    let cycles = 12u64;
-    let source = stimulus::source_for(&flow.design, &map, n, 0xc44);
+    let source = stimulus::source_for(&flow.design, &map, n, 0x5eed);
     let mut frame = vec![0u64; map.len()];
-
-    let mut configs = vec![ExecConfig::scalar()];
-    for chunk in [1usize, 64, 256, 1000] {
-        configs.push(ExecConfig::vectorized().with_lane_chunk(chunk));
-        configs.push(ExecConfig::parallel(3).with_lane_chunk(chunk));
-    }
-
-    let mut devs: Vec<DeviceMemory> = configs
-        .iter()
-        .map(|_| flow.program.plan.alloc_device(n))
-        .collect();
-    let mut scratches: Vec<Vec<Scratch>> = configs
-        .iter()
-        .map(|c| {
-            (0..c.thread_count().max(1))
-                .map(|_| Scratch::new())
-                .collect()
-        })
-        .collect();
+    let mut devs: Vec<DeviceMemory> = engines.iter().map(|_| p.plan.alloc_device(n)).collect();
+    let mut pools: Vec<Vec<Scratch>> = engines.iter().map(|(e, _)| e.scratch_pool()).collect();
 
     for c in 0..cycles {
         for dev in devs.iter_mut() {
             for s in 0..n {
                 source.fill_frame(s, c, &mut frame);
                 for (lane, port) in map.ports.iter().enumerate() {
-                    flow.program.plan.poke(dev, port.var, s, frame[lane]);
+                    p.plan.poke(dev, port.var, s, frame[lane]);
                 }
             }
         }
-        for (i, cfg) in configs.iter().enumerate() {
-            flow.program
-                .run_cycle_exec(&mut devs[i], &mut scratches[i], 0, n, cfg);
+        for (i, (exec, layout)) in engines.iter().enumerate() {
+            run_order(
+                &p.graph.kernels,
+                &p.fused,
+                layout.then_some(&p.bit),
+                &p.order,
+                &mut devs[i],
+                &mut pools[i],
+                0,
+                n,
+                exec,
+            );
         }
         let (reference, rest) = devs.split_first().unwrap();
-        for (i, dev) in rest.iter().enumerate() {
-            assert_devices_equal(reference, dev, &format!("chunk cfg #{}", i + 1), c);
+        for (dev, (exec, layout)) in rest.iter().zip(&engines[1..]) {
+            let what = format!("{} {} layout={layout}", b.name(), exec.spec());
+            assert_matches_reference(reference, dev, &what, c);
         }
     }
 }
 
-/// The three benchmark designs, driven by their idiomatic stimulus: the
-/// vectorized and block-parallel paths must reproduce the scalar
-/// reference bit-for-bit (full device state compared every cycle).
+/// The lane-chunk size is a pure scheduling knob: every chunk size —
+/// degenerate (1), sub-default (64), default (256), and a non-power-of-
+/// two larger than the batch (1000) — must leave the device state
+/// bit-identical to the scalar reference on one worker and on three.
+#[test]
+fn lane_chunk_sizes_are_bit_identical() {
+    let mut engines = vec![(ExecConfig::scalar(), true)];
+    for chunk in [1usize, 64, 256, 1000] {
+        let three = ExecConfig::fused(3).with_block(64);
+        engines.push((ExecConfig::fused(1).with_lane_chunk(chunk), true));
+        engines.push((three.with_lane_chunk(chunk), true));
+    }
+    // Three 64-lane blocks, not a multiple of any chunk size.
+    compare_engines(Benchmark::Nvdla(NvdlaScale::Tiny), 161, 12, &engines);
+}
+
+/// The benchmark designs: the fused engine — with no layout, with the
+/// compiled layout on one thread, and with it on two threads over 64-lane
+/// blocks — must reproduce the scalar reference bit-for-bit.
 #[test]
 fn benchmark_designs_match_scalar_reference() {
-    for (b, n, cycles) in [
-        (Benchmark::RiscvMini, 24usize, 20u64),
-        (Benchmark::Spinal, 24, 20),
-        (Benchmark::Nvdla(NvdlaScale::Tiny), 16, 20),
-        (Benchmark::Handshake, 70, 20),
+    let engines = [
+        (ExecConfig::scalar(), false),
+        (ExecConfig::fused(1), false),
+        (ExecConfig::fused(1), true),
+        (ExecConfig::fused(2).with_block(64), true),
+    ];
+    for (b, n) in [
+        (Benchmark::RiscvMini, 24usize),
+        (Benchmark::Spinal, 24),
+        (Benchmark::Nvdla(NvdlaScale::Tiny), 16),
+        (Benchmark::Picorv32, 16),
+        (Benchmark::Handshake, 70),
     ] {
-        let flow = Flow::from_benchmark(b).unwrap();
-        let map = PortMap::from_design(&flow.design);
-        let source = stimulus::source_for(&flow.design, &map, n, 0x5eed);
-        let mut frame = vec![0u64; map.len()];
-
-        let mut dev_s = flow.program.plan.alloc_device(n);
-        let mut dev_v = flow.program.plan.alloc_device(n);
-        let mut dev_p = flow.program.plan.alloc_device(n);
-        let mut dev_b = flow.program.plan.alloc_device(n);
-        let mut dev_bp = flow.program.plan.alloc_device(n);
-        let mut scratch_s = vec![Scratch::new()];
-        let mut scratch_v = vec![Scratch::new()];
-        let par = ExecConfig::parallel(3);
-        let mut scratch_p: Vec<Scratch> = (0..3).map(|_| Scratch::new()).collect();
-        let bit = ExecConfig::bitplane(1);
-        let mut scratch_b = vec![Scratch::new()];
-        let bit_par = ExecConfig::bitplane(2).with_block(64);
-        let mut scratch_bp: Vec<Scratch> = (0..2).map(|_| Scratch::new()).collect();
-
-        for c in 0..cycles {
-            for dev in [&mut dev_s, &mut dev_v, &mut dev_p, &mut dev_b, &mut dev_bp] {
-                for s in 0..n {
-                    source.fill_frame(s, c, &mut frame);
-                    for (lane, port) in map.ports.iter().enumerate() {
-                        flow.program.plan.poke(dev, port.var, s, frame[lane]);
-                    }
-                }
-            }
-            flow.program
-                .run_cycle_exec(&mut dev_s, &mut scratch_s, 0, n, &ExecConfig::scalar());
-            flow.program.run_cycle_exec(
-                &mut dev_v,
-                &mut scratch_v,
-                0,
-                n,
-                &ExecConfig::vectorized(),
-            );
-            flow.program
-                .run_cycle_exec(&mut dev_p, &mut scratch_p, 0, n, &par);
-            flow.program
-                .run_cycle_exec(&mut dev_b, &mut scratch_b, 0, n, &bit);
-            flow.program
-                .run_cycle_exec(&mut dev_bp, &mut scratch_bp, 0, n, &bit_par);
-            assert_devices_equal(&dev_s, &dev_v, b.name(), c);
-            assert_devices_equal(&dev_s, &dev_p, b.name(), c);
-            assert_matches_reference(&dev_s, &dev_b, b.name(), c);
-            assert_matches_reference(&dev_s, &dev_bp, b.name(), c);
-        }
+        compare_engines(b, n, 20, &engines);
     }
 }

@@ -1,7 +1,7 @@
 //! Frontend equivalence: a design entering through the Yosys-JSON netlist
 //! importer must be bit-identical to the same design entering through the
-//! Verilog subset parser — across the scalar, vectorized, and
-//! block-parallel executors, with the pattern rewriter on or off — and the
+//! Verilog subset parser — across the scalar oracle and the fused engine
+//! (serial and block-parallel), with the pattern rewriter on or off — and the
 //! picorv32 netlist fixture must match the golden interpreter running on
 //! the un-rewritten import.
 
@@ -22,8 +22,8 @@ endmodule
 fn exec_configs() -> [(&'static str, ExecConfig); 3] {
     [
         ("scalar", ExecConfig::scalar()),
-        ("vectorized", ExecConfig::vectorized()),
-        ("parallel", ExecConfig::parallel(2)),
+        ("fused", ExecConfig::fused(1)),
+        ("fused:2", ExecConfig::fused(2)),
     ]
 }
 
@@ -94,8 +94,8 @@ fn picorv32_executors_match_unrewritten_interpreter() {
                 .digests,
         );
     }
-    assert_eq!(all[0], all[1], "scalar vs vectorized diverge on picorv32");
-    assert_eq!(all[0], all[2], "scalar vs parallel diverge on picorv32");
+    assert_eq!(all[0], all[1], "scalar vs fused diverge on picorv32");
+    assert_eq!(all[0], all[2], "scalar vs fused:2 diverge on picorv32");
 
     // Golden check: interpreter on the *un-rewritten* import.
     let mut frame = vec![0u64; map.len()];
@@ -124,7 +124,7 @@ fn rewrite_toggle_is_digest_identical() {
         rtlflow::GpuModel::default(),
     )
     .unwrap();
-    let exec = ExecConfig::vectorized();
+    let exec = ExecConfig::default();
     assert_eq!(
         digests(&off, 16, 60, &exec),
         digests(&on, 16, 60, &exec),

@@ -4,14 +4,15 @@
 //!   interpreter and the transpiled SIMT kernels,
 //! * `BitVec` arithmetic agrees with native `u128` arithmetic,
 //! * stimulus sources are pure functions of their coordinates,
-//! * the discrete-event resource respects work-conservation bounds.
+//! * the discrete-event resource respects work-conservation bounds,
+//! * a compiled bit layout keeps only planes some bit op touches.
 //!
 //! The cases are driven by a deterministic in-tree generator rather than
 //! `proptest` (the build must work offline): every case derives from a
 //! fixed seed, so failures are reproducible by construction — the case
 //! index is part of each assertion message.
 
-use rtlflow::{BitVec, Flow, Interp, PortMap};
+use rtlflow::{Benchmark, BitVec, Flow, Interp, NvdlaScale, PortMap};
 use stimulus::{splitmix64, RandomSource, StimulusSource};
 
 /// Deterministic stream of pseudo-random draws for one test case.
@@ -261,5 +262,105 @@ fn resource_respects_bounds() {
         let lower = (total / capacity as u64).max(max);
         assert!(r.makespan() >= lower, "case {case}");
         assert!(r.makespan() <= total, "case {case}");
+    }
+}
+
+// ------------------------------------------------------ bit-layout rule
+
+/// A random netlist through `netlist::gen`: 1-bit gates and muxes over
+/// single bits (sliced out of wider nets too), word adders and compares
+/// feeding 1-bit results back, and registers, so that bit-domain cones,
+/// word-domain cones and the reads that cross between them all occur.
+fn arb_netlist(g: &mut Gen) -> String {
+    use netlist::gen::{Builder, B};
+    let mut b = Builder::new("fz");
+    let clk = b.input("clk", 1)[0];
+    let mut pool: Vec<Vec<B>> = (0..3 + g.below(3))
+        .map(|i| b.input(&format!("in{i}"), g.pick(&[1usize, 1, 1, 4, 8])))
+        .collect();
+    // The low `w` bits of a random pool signal from a random bit up,
+    // zero-extended.
+    let take = |g: &mut Gen, pool: &[Vec<B>], w: usize| -> Vec<B> {
+        let sig = &pool[g.below(pool.len() as u64) as usize];
+        let lsb = g.below(sig.len() as u64) as usize;
+        (lsb..lsb + w)
+            .map(|i| *sig.get(i).unwrap_or(&B::C0))
+            .collect()
+    };
+    for i in 0..8 + g.below(24) {
+        let name = format!("c{i}");
+        let w = g.pick(&[1usize, 1, 1, 4, 8]);
+        let (x, y) = (take(g, &pool, w), take(g, &pool, w));
+        let out = match g.below(6) {
+            0 | 1 => b.bin(g.pick(&["$and", "$or", "$xor", "$add"]), &name, &x, &y, w),
+            2 => b.bin(g.pick(&["$eq", "$lt"]), &name, &x, &y, 1),
+            3 => b.unary(g.pick(&["$not", "$reduce_or"]), &name, &x, 1),
+            4 => b.mux(&name, &x, &y, take(g, &pool, 1)[0], w),
+            _ => b.dff(&name, clk, &x),
+        };
+        pool.push(out);
+    }
+    for (i, sig) in pool.iter().rev().take(3).enumerate() {
+        b.output(&format!("out{i}"), sig);
+    }
+    b.to_json()
+}
+
+/// The layout rule the engine is selected by: every plane of a compiled
+/// layout is read or written by at least one bit op, and a layout with no
+/// planes has no escape reads, so "has planes" means "has bit-domain work"
+/// and a zero-plane design costs nothing over the plain vectorized loop.
+#[test]
+fn compiled_layouts_keep_only_planes_a_bit_op_touches() {
+    use cudasim::BOp;
+    let check = |what: &str, flow: &Flow| {
+        let bit = &flow.program.bit;
+        let mut touched = vec![false; bit.num_planes() as usize];
+        for op in bit.bit.iter().flat_map(|p| &p.ops) {
+            if let BOp::Load { plane, .. } | BOp::Store { plane, .. } = op {
+                touched[*plane as usize] = true;
+            }
+        }
+        let untouched = touched.iter().position(|&t| !t);
+        assert_eq!(untouched, None, "{what}: a plane no bit op touches");
+        for e in bit.escapes.iter().flatten() {
+            assert!(e.plane < bit.num_planes(), "{what}: escape names no plane");
+        }
+        bit.num_planes()
+    };
+
+    let mut with_planes = 0;
+    for case in 0..200 {
+        let json = arb_netlist(&mut Gen::new(0xb17_1a70, case));
+        let (design, _) = netlist::import_str(&json, "fz")
+            .unwrap_or_else(|e| panic!("case {case}: generated netlist must import: {e}"));
+        let flow = Flow::from_design(
+            design,
+            rtlflow::PartitionStrategy::PerLevel,
+            rtlflow::GpuModel::default(),
+        )
+        .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        with_planes += (check(&format!("case {case}"), &flow) > 0) as usize;
+    }
+    assert!(
+        (50..=190).contains(&with_planes),
+        "{with_planes} of 200 generated designs kept a plane: one side of the rule is barely tried"
+    );
+
+    // The committed designs: the two word-domain cores compile to no
+    // planes at all, the control ring keeps every one of its 1-bit cones.
+    for (b, expect) in [
+        (Benchmark::RiscvMini, Some((0, 0))),
+        (Benchmark::Spinal, Some((0, 0))),
+        (Benchmark::Nvdla(NvdlaScale::Tiny), None),
+        (Benchmark::Picorv32, None),
+        (Benchmark::Handshake, Some((401, 3330))),
+    ] {
+        let flow = Flow::from_benchmark(b).unwrap();
+        let planes = check(b.name(), &flow);
+        if let Some(expect) = expect {
+            let bit_ops = flow.program.bit.bit_op_count();
+            assert_eq!((planes, bit_ops), expect, "{}", b.name());
+        }
     }
 }
