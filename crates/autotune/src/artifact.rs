@@ -5,7 +5,7 @@
 //! key/value file with a version header and an FNV-1a checksum trailer:
 //!
 //! ```text
-//! rtlflow-tuned v2
+//! rtlflow-tuned v3
 //! design_hash = 0123456789abcdef
 //! design_name = riscv-mini
 //! exec = fused@512
@@ -29,10 +29,12 @@ use transpile::Partition;
 
 /// Current artifact format version. Bump on any incompatible change;
 /// older files are then ignored (treated as a cache miss), never
-/// misparsed. v2: the `exec` grammar lost `vector|par|bitpar`.
-pub const ARTIFACT_VERSION: u32 = 2;
+/// misparsed. v2: the `exec` grammar lost `vector|par|bitpar`. v3: it
+/// lost the `:threads[:block]` fields, so a v2 `fused:4@512` is refused
+/// by version before its exec line is read.
+pub const ARTIFACT_VERSION: u32 = 3;
 
-const HEADER: &str = "rtlflow-tuned v2";
+const HEADER: &str = "rtlflow-tuned v3";
 
 /// How the tuned partition is re-derived from the RTL graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,7 +275,7 @@ mod tests {
         TunedArtifact {
             design_hash: 0xdead_beef_0123_4567,
             design_name: "riscv-mini".into(),
-            exec: ExecConfig::fused(4).with_block(2048).with_lane_chunk(128),
+            exec: ExecConfig::fused().with_lane_chunk(128),
             fuse: FuseConfig {
                 const_fold_min_ops: 4,
                 superop_min_ops: 16,

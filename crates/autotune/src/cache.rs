@@ -212,4 +212,20 @@ mod tests {
         assert!(cache.load(0x333).is_none());
         assert_eq!(cache.stats.snapshot(), (0, 0, 1));
     }
+
+    /// A v2 tune could pick a threaded exec (`fused:4@512`), which the
+    /// current grammar no longer has: the entry is refused and counted,
+    /// never read as some other config.
+    #[test]
+    fn v2_threaded_exec_entry_is_rejected_and_counted() {
+        use crate::artifact::reversioned;
+        let cache = TuneCache::at(tmpdir("v2-threads"));
+        let path = cache.store(&art(0x444)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("exec = fused@512\n"));
+        let v2 = reversioned(&text.replace("exec = fused@512", "exec = fused:4@512"), 2);
+        std::fs::write(&path, v2).unwrap();
+        assert!(cache.load(0x444).is_none());
+        assert_eq!(cache.stats.snapshot(), (0, 0, 1));
+    }
 }

@@ -3,9 +3,9 @@
 //!
 //! The GPU-flow papers pick one launch configuration per design by hand;
 //! this crate searches for it instead. A [`tune`] run probes candidate
-//! configurations — worker threads + lane chunk + block size
-//! ([`cudasim::ExecConfig`]), fuser thresholds ([`cudasim::FuseConfig`]),
-//! and partition shape ([`PartSpec`]) — with short seeded benchmark runs
+//! configurations — lane chunk ([`cudasim::ExecConfig`]), fuser
+//! thresholds ([`cudasim::FuseConfig`]), and partition shape
+//! ([`PartSpec`]) — with short seeded benchmark runs
 //! against the real executor, walks the space with simulated annealing
 //! under a probe/wall-clock budget, and persists the winner as a
 //! versioned [`TunedArtifact`] keyed by [`rtlir::design_hash`].

@@ -6,8 +6,8 @@
 //! whole cycles, reduce per-cycle wall times with the *median* (robust to
 //! preemption spikes on shared cores), and report throughput in
 //! stimulus-cycles/second. The harness caches built [`KernelProgram`]s
-//! per (fuse, partition) pair so exec-only mutations (threads, lane
-//! chunk, block size) re-use the transpiled program.
+//! per (fuse, partition) pair so exec-only mutations (the lane chunk)
+//! re-use the transpiled program.
 
 use std::collections::HashMap;
 
@@ -169,29 +169,17 @@ impl<'a> ProbeHarness<'a> {
                     .sum();
                 program.order.len() as f64 * DISPATCH + ops * n * 1.6
             }
-            ExecStrategy::Fused { threads, block } => {
+            ExecStrategy::Fused => {
                 // Word-domain ops cost one unit per lane; bit ops process
                 // 64 lanes per word; escapes pay a per-lane scatter each
                 // cycle. A zero-plane layout has only the word term.
                 let word_ops = program.bit.word_fop_count() as f64;
                 let bit_ops = program.bit.bit_op_count() as f64;
                 let escapes = program.bit.escape_count() as f64;
-                let serial = program.order.len() as f64 * chunks * DISPATCH
+                program.order.len() as f64 * chunks * DISPATCH
                     + word_ops * n
                     + bit_ops * (n / 64.0).ceil()
-                    + escapes * n;
-                // Deterministic worker count: a `0` request means "host
-                // parallelism" at run time, which the model must not
-                // depend on — score it as a fixed 4-way machine.
-                let workers = if threads == 0 { 4.0 } else { threads as f64 };
-                if workers <= 1.0 {
-                    serial
-                } else {
-                    // Fork/join sync per kernel wave, plus imperfect
-                    // scaling.
-                    let blocks = (n / (block.max(1) as f64)).ceil().max(1.0);
-                    serial / workers + program.order.len() as f64 * blocks * workers * 48.0
-                }
+                    + escapes * n
             }
         };
         Ok(1e9 * n / cost.max(1.0))

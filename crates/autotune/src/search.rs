@@ -2,9 +2,9 @@
 //!
 //! One [`tune`] call probes candidate configs against a [`ProbeHarness`]
 //! under a probe-count / wall-clock budget. Proposals mutate one
-//! dimension at a time — worker threads and block size, lane chunk, fuser
-//! thresholds, partition shape (per-level, merged levels, or
-//! feature-weight packing) — and are accepted with the Metropolis rule so
+//! dimension at a time — lane chunk, fuser thresholds, partition shape
+//! (per-level, merged levels, or feature-weight packing) — and are
+//! accepted with the Metropolis rule so
 //! early probes explore and late probes exploit. The proposal stream is
 //! driven entirely by a seeded [`SmallRng`], so with the deterministic
 //! [`CostSource::Static`] cost model the whole trajectory (and the
@@ -12,7 +12,6 @@
 
 use std::time::Instant;
 
-use cudasim::ExecStrategy;
 use desim::Json;
 use rtlir::Design;
 
@@ -126,10 +125,6 @@ impl TuneReport {
 /// of octaves each way; the search walks these rather than raw integers
 /// so every proposal is a sane config.
 const LANE_CHUNKS: [usize; 8] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
-const BLOCKS: [usize; 5] = [256, 512, 1024, 2048, 4096];
-/// Worker menu: `1` is the serial engine (often fastest — bit programs
-/// are tiny), `0` means host parallelism at run time.
-const THREADS: [usize; 4] = [1, 0, 2, 4];
 const FUSE_MIN_OPS: [usize; 5] = [0, 4, 16, 64, 256];
 const MERGE_FACTORS: [usize; 8] = [2, 3, 4, 6, 8, 12, 16, 32];
 
@@ -138,26 +133,19 @@ const MERGE_FACTORS: [usize; 8] = [2, 3, 4, 6, 8, 12, 16, 32];
 fn propose(cur: &Candidate, rng: &mut SmallRng, search_partition: bool) -> Candidate {
     for _ in 0..64 {
         let mut next = cur.clone();
-        let dims = if search_partition { 5 } else { 4 };
+        let dims = if search_partition { 4 } else { 3 };
         match rng.gen_index(dims) {
-            // Worker threads, block size riding along. The scalar oracle
-            // is never proposed: it is the reference, not a contender.
+            // Lane chunk, the one exec dimension. The scalar oracle is
+            // never proposed: it is the reference, not a contender.
             0 => {
-                next.exec.strategy = ExecStrategy::Fused {
-                    threads: THREADS[rng.gen_index(THREADS.len())],
-                    block: BLOCKS[rng.gen_index(BLOCKS.len())],
-                };
-            }
-            // Lane chunk.
-            1 => {
                 next.exec.lane_chunk = LANE_CHUNKS[rng.gen_index(LANE_CHUNKS.len())];
             }
             // Const-fold threshold.
-            2 => {
+            1 => {
                 next.fuse.const_fold_min_ops = FUSE_MIN_OPS[rng.gen_index(FUSE_MIN_OPS.len())];
             }
             // Superop threshold.
-            3 => {
+            2 => {
                 next.fuse.superop_min_ops = FUSE_MIN_OPS[rng.gen_index(FUSE_MIN_OPS.len())];
             }
             // Partition shape.

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cudasim::{Checkpoint, DeviceMemory, ExecConfig};
+use cudasim::{Checkpoint, DeviceMemory, ExecConfig, Scratch};
 use modelpar::PartEngine;
 use pipeline::{restore_image, GroupRunner, Resume};
 use rtlir::Design;
@@ -796,7 +796,7 @@ fn run_part(
         }
         start_cycle = p.start_cycle;
     }
-    let mut scratches = exec.scratch_pool();
+    let mut scratch = Scratch::new();
     let mut xs = ExchangeState {
         buffered: HashMap::new(),
         hidden_ns: 0,
@@ -836,18 +836,18 @@ fn run_part(
                 pe.program.plan.poke(&mut dev, lv, s, p.frames[base + lane]);
             }
         }
-        pe.run_phase(&pe.pre, &mut dev, &mut scratches, 0, len, exec);
+        pe.run_phase(&pe.pre, &mut dev, &mut scratch, 0, len, exec);
         if c > 0 && !pe.imports.is_empty() {
             if let Err(end) = wait_and_apply(&ctx, &mut dev, c - 1, &mut xs) {
                 return end;
             }
         }
-        pe.run_phase(&pe.mid, &mut dev, &mut scratches, 0, len, exec);
+        pe.run_phase(&pe.mid, &mut dev, &mut scratch, 0, len, exec);
         if has_exports {
             sink.send(&boundary(c, pe.extract_exports(&dev, len)));
             xs.exchange_start = Some(Instant::now());
         }
-        pe.run_phase(&pe.post, &mut dev, &mut scratches, 0, len, exec);
+        pe.run_phase(&pe.post, &mut dev, &mut scratch, 0, len, exec);
         let completed = c + 1;
         if cfg.checkpoint_interval > 0
             && completed.is_multiple_of(cfg.checkpoint_interval)
@@ -875,7 +875,7 @@ fn run_part(
         if let Err(end) = wait_and_apply(&ctx, &mut dev, cycles - 1, &mut xs) {
             return end;
         }
-        pe.run_phase(&pe.refresh, &mut dev, &mut scratches, 0, len, exec);
+        pe.run_phase(&pe.refresh, &mut dev, &mut scratch, 0, len, exec);
     }
     let mut outputs = vec![0u64; pe.sub.outputs.len() * len];
     for (o, &lv) in pe.sub.outputs.iter().enumerate() {

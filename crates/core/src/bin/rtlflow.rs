@@ -24,31 +24,32 @@ commands:
               Transpile RTL to CUDA (or Verilator-style C++) source.
   simulate    (<file.v> --top <module> | --benchmark <name>) [-n <stimulus>]
               [-c <cycles>] [--seed <u64>] [--group <size>] [--no-pipeline]
-              [--streams <k>] [--verify <count>]
-              [--exec scalar|fused[:threads[:block]][@chunk]]
+              [--streams [<k>]] [--verify [<count>]]
+              [--exec scalar|fused[@chunk]]
               Batch-simulate on the virtual A6000, optionally checking
-              digests against the golden interpreter (`scalar` is the
-              reference executor the fused engine is tested against).
-  bench-exec  [--fast] [--json] [--benchmark <name>] [--tuned [<dir>|off]]
-              [-o <path>]
+              digests against the golden interpreter (a bare --verify
+              checks 4 stimulus, a bare --streams uses 4 streams; `scalar`
+              is the reference executor the fused engine is tested against).
+  bench-exec  [--fast] [--json] [--benchmark <name>]
+              [--tuned [auto|off|<dir>]] [-o <path>]
               Measure functional-execution throughput (stimulus-cycles/s)
-              of the scalar reference and the fused engine (one thread,
-              and one per host core) across the benchmark designs at batch
-              sizes 64/1024/8192. Designs with a cached tuned artifact get
-              a `tuned` row. With --json the output file is merged per
-              design: rows for designs not measured in this run are
+              of the scalar reference and the fused engine across the
+              benchmark designs at batch sizes 64/1024/8192 (columns
+              `scalar` and `fused`). Designs with a cached tuned artifact
+              get a `tuned` column. With --json the output file is merged
+              per design: rows for designs not measured in this run are
               preserved from the existing file.
   autotune    [--benchmark <name> | --all | --fixture counter|picorv32]
               [--budget <probes>] [--budget-ms <ms>] [--seed <u64>]
               [--probe-n <stimulus>] [--probe-c <cycles>]
               [--cache-dir <dir>] [--static-cost] [--json] [-o <path>]
-              Profile-guided search over engine threads, block size, lane
-              chunk, fuser thresholds, and partition shape; persists the winner
-              in the tuned-artifact cache keyed by design hash.
+              Profile-guided search over the engine's lane chunk, fuser
+              thresholds, and partition shape; persists the winner in the
+              tuned-artifact cache keyed by design hash.
   shard-sim   [--benchmark <name>] [-n <stimulus>] [-c <cycles>]
               [--gpus <k1,k2,..>] [--speeds <f1,f2,..>] [--group <size>]
               [--fault-rate <p>] [--fault-seed <u64>] [--functional]
-              [--seed <u64>] [--tuned [<dir>|off]] [--json]
+              [--seed <u64>] [--tuned [auto|off|<dir>]] [--json]
               Sweep device counts (or one heterogeneous pool via --speeds),
               reporting measured vs analytically predicted speedup, steal
               counts, and per-device utilization.
@@ -56,15 +57,14 @@ commands:
               [--max-batch <n>] [--window-ms <ms>] [--workers <n>]
               [--queue-limit <n>] [--devices <f1,f2,..>] [--seed <u64>]
               [--journal <path>] [--crash-after <k>]
-              [--tuned [<dir>|off]] [--json]
+              [--tuned [auto|off|<dir>]] [--json]
               Replay a multi-client trace through the coalescing service.
               --journal write-ahead-logs every job; with --crash-after the
               service is hard-crashed after k accepted jobs and recovery
               from the journal is verified bit-identical to direct runs.
   netlist-sim (<file.json> --top <module> | --fixture counter|picorv32)
               [-n <stimulus>] [-c <cycles>] [--seed <u64>] [--rewrite on|off]
-              [--exec scalar|fused[:threads[:block]][@chunk]] [--verify <count>]
-              [--json]
+              [--exec scalar|fused[@chunk]] [--verify [<count>]] [--json]
               Import a Yosys JSON netlist, optionally run the pattern
               rewriter, batch-simulate, and report import + rewrite stats
               (digests verified against the interpreter on the un-rewritten
@@ -74,7 +74,7 @@ commands:
               [--model-parallel <k>]
               [--kill-worker <i>@<pickup>[+<cycle>][:silent]]
               [--checkpoint-interval <cycles>] [--chaos <seed>]
-              [--seed <u64>] [--tuned [<dir>|off]] [--verify] [--json]
+              [--seed <u64>] [--tuned [auto|off|<dir>]] [--verify] [--json]
               Run a batch on an in-process loopback TCP cluster of k
               workers, optionally killing workers mid-run (one scripted
               fault, or a deterministic --chaos campaign) and checking
@@ -101,14 +101,14 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// `--tuned` flag → tuned-artifact cache policy. No flag (or a bare
-/// `--tuned`) consults the default cache dir, `--tuned off` disables the
-/// cache, `--tuned <dir>` points at an explicit one.
+/// `--tuned` flag → tuned-artifact cache policy. No flag, a bare
+/// `--tuned` or `--tuned auto` consults the default cache dir, `--tuned
+/// off` disables the cache, `--tuned <dir>` points at an explicit one.
 fn tuned_policy(args: &Args) -> rtlflow::TunePolicy {
     match args.get("tuned") {
         Some("off") => rtlflow::TunePolicy::Off,
+        Some("auto") | None => rtlflow::TunePolicy::Auto,
         Some(dir) => rtlflow::TunePolicy::Dir(dir.into()),
-        None => rtlflow::TunePolicy::Auto,
     }
 }
 
@@ -248,16 +248,14 @@ fn main() {
             let cfg = PipelineConfig {
                 group_size: args.num("group", 1024.min(n)),
                 pipelined: !args.has("no-pipeline"),
-                mode: match args.get("streams") {
-                    Some(s) => rtlflow::ExecMode::Stream {
-                        streams: s.parse().unwrap_or(4),
-                    },
+                mode: match args.opt_num("streams", 4) {
+                    Some(streams) => rtlflow::ExecMode::Stream { streams },
                     None => rtlflow::ExecMode::Graph,
                 },
                 exec: exec_config(&args),
                 ..Default::default()
             };
-            let verify: Option<usize> = args.get("verify").map(|v| v.parse().unwrap_or(4));
+            let verify: Option<usize> = args.opt_num("verify", 4);
             args.finish();
             let t0 = std::time::Instant::now();
             let result = flow
@@ -324,10 +322,9 @@ fn main() {
             let out = out_path(&args);
             args.finish();
             let batches: [usize; 3] = [64, 1024, 8192];
-            let strategies: [(&str, ExecConfig); 3] = [
+            let strategies: [(&str, ExecConfig); 2] = [
                 ("scalar", ExecConfig::scalar()),
-                ("fused", ExecConfig::fused(1)),
-                ("fused_par", ExecConfig::fused(0)),
+                ("fused", ExecConfig::fused()),
             ];
 
             let mut design_rows: Vec<Json> = Vec::new();
@@ -961,7 +958,7 @@ fn main() {
                 exec: exec_config(&args),
                 ..Default::default()
             };
-            let verify: Option<usize> = args.get("verify").map(|v| v.parse().unwrap_or(4));
+            let verify: Option<usize> = args.opt_num("verify", 4);
             let json = args.has("json");
             let fixture = args.get("fixture");
             args.finish();

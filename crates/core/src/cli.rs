@@ -89,13 +89,29 @@ impl Args {
     }
 
     /// Parse `--name` as a number, exiting with a usage error on junk.
-    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.get(name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("bad value for --{name}: `{v}`");
-                exit(2)
-            }),
+    pub fn num<T: std::str::FromStr + Clone>(&self, name: &str, default: T) -> T {
+        self.opt_num(name, default.clone()).unwrap_or(default)
+    }
+
+    /// `--name` as an optional number: `None` without the flag, `bare`
+    /// for the flag with no value, else its value. Exits with a usage
+    /// error on junk, like [`Args::num`].
+    pub fn opt_num<T: std::str::FromStr>(&self, name: &str, bare: T) -> Option<T> {
+        self.try_opt_num(name, bare).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2)
+        })
+    }
+
+    fn try_opt_num<T: std::str::FromStr>(&self, name: &str, bare: T) -> Result<Option<T>, String> {
+        self.note(name);
+        match self.flags.iter().rev().find(|(n, _)| n == name) {
+            None => Ok(None),
+            Some((_, None)) => Ok(Some(bare)),
+            Some((_, Some(v))) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad value for --{name}: `{v}`")),
         }
     }
 }
@@ -173,6 +189,31 @@ mod tests {
         assert_eq!(a.unknown_flag(), Some("c"));
         assert!(!a.has("json"));
         assert_eq!(a.num("c", 0u64), 3);
+        assert_eq!(a.unknown_flag(), None);
+    }
+
+    #[test]
+    fn optional_numbers_take_bare_valid_and_refuse_junk() {
+        let a = args(&[
+            "simulate",
+            "--verify",
+            "-n",
+            "8",
+            "--streams",
+            "x",
+            "--group",
+            "16",
+        ]);
+        assert_eq!(a.try_opt_num("verify", 4usize), Ok(Some(4)), "bare flag");
+        assert_eq!(a.try_opt_num("n", 4usize), Ok(Some(8)));
+        assert_eq!(a.try_opt_num("seed", 4usize), Ok(None), "absent flag");
+        assert_eq!(
+            a.try_opt_num("streams", 4usize),
+            Err("bad value for --streams: `x`".to_string())
+        );
+        // `num` reads through the same path: a bare flag is the default.
+        assert_eq!(a.num("verify", 7usize), 7);
+        assert_eq!(a.num("group", 1usize), 16);
         assert_eq!(a.unknown_flag(), None);
     }
 

@@ -817,12 +817,11 @@ fn exec_bit_program(
     tid0: usize,
     end: usize,
 ) {
-    let w0 = tid0 / 64;
-    let w1 = end.div_ceil(64);
-    let rlen = w1 - w0;
-    if rlen == 0 {
+    if end <= tid0 {
         return;
     }
+    let w0 = tid0 / 64;
+    let rlen = end.div_ceil(64) - w0;
     scratch.ensure(prog.num_regs, rlen);
     let first_mask = !0u64 << (tid0 % 64);
     let last_mask = if end.is_multiple_of(64) {
@@ -977,7 +976,6 @@ pub fn unpack_bit_lanes(words: &[u64], n: usize, mut put: impl FnMut(usize, u64)
 mod tests {
     use super::*;
     use crate::device::execute_kernel;
-    use crate::exec::for_lane_blocks;
     use crate::ir::{Kernel, Op};
 
     fn s8(offset: u32) -> Slot {
@@ -1109,20 +1107,17 @@ mod tests {
     }
 
     /// One cycle over `layout` for lanes `[tid0, tid0 + group)`, as
-    /// `run_order` drives it: one worker per scratch.
+    /// `run_order` drives it.
     fn run_layout(
         layout: &BitLayout,
         order: &[usize],
         dev: &mut DeviceMemory,
-        scratches: &mut [Scratch],
+        scratch: &mut Scratch,
         tid0: usize,
         group: usize,
-        block: usize,
     ) {
         dev.attach_bitplane(layout);
-        for_lane_blocks(dev, scratches, tid0, group, block, |dev, s, t0, t1| {
-            execute_bitplane_range(layout, order, dev, s, t0, t1, 256)
-        });
+        execute_bitplane_range(layout, order, dev, scratch, tid0, tid0 + group, 256);
     }
 
     fn seed(dev: &mut DeviceMemory, n: usize) {
@@ -1166,9 +1161,9 @@ mod tests {
 
         let mut dev = DeviceMemory::new(n, 6, 1, 0, 0);
         seed(&mut dev, n);
-        let mut scratches = vec![Scratch::new()];
+        let mut scratch = Scratch::new();
         for _ in 0..4 {
-            run_layout(&layout, &order, &mut dev, &mut scratches, 0, n, 1024);
+            run_layout(&layout, &order, &mut dev, &mut scratch, 0, n);
         }
         dev.detach_bitplane();
         assert_eq!(dev.var8, ref_dev.var8);
@@ -1176,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_partial_ranges_match_serial() {
+    fn split_and_partial_ranges_match_serial() {
         let ir = demo_graph();
         let n = 512;
         let layout = BitLayout::compile(&ir, 6, &roots(), None, &FuseConfig::default());
@@ -1184,18 +1179,21 @@ mod tests {
 
         let mut ref_dev = DeviceMemory::new(n, 6, 1, 0, 0);
         seed(&mut ref_dev, n);
-        let mut s1 = vec![Scratch::new()];
+        let mut s1 = Scratch::new();
         for _ in 0..3 {
-            run_layout(&layout, &order, &mut ref_dev, &mut s1, 0, n, 1024);
+            run_layout(&layout, &order, &mut ref_dev, &mut s1, 0, n);
         }
         ref_dev.detach_bitplane();
 
-        // Parallel workers over small blocks.
+        // The same cycles run window by window, with boundaries inside
+        // plane words: edge-word stores must merge under the lane mask.
         let mut dev = DeviceMemory::new(n, 6, 1, 0, 0);
         seed(&mut dev, n);
-        let mut s4: Vec<Scratch> = (0..4).map(|_| Scratch::new()).collect();
+        let mut s2 = Scratch::new();
         for _ in 0..3 {
-            run_layout(&layout, &order, &mut dev, &mut s4, 0, n, 64);
+            for (t0, t1) in [(0, 37), (37, 64), (64, 300), (300, 301), (301, n)] {
+                run_layout(&layout, &order, &mut dev, &mut s2, t0, t1 - t0);
+            }
         }
         dev.detach_bitplane();
         assert_eq!(dev.var8, ref_dev.var8);
@@ -1206,8 +1204,14 @@ mod tests {
         let mut base = DeviceMemory::new(n, 6, 1, 0, 0);
         seed(&mut base, n);
         let mut part = base.clone();
-        let mut sp = vec![Scratch::new()];
-        run_layout(&layout, &order, &mut part, &mut sp, 37, 411 - 37, 128);
+        run_layout(
+            &layout,
+            &order,
+            &mut part,
+            &mut Scratch::new(),
+            37,
+            411 - 37,
+        );
         part.detach_bitplane();
         let mut expect = base.clone();
         let mut se = Scratch::new();

@@ -1,7 +1,7 @@
-//! The fused execution engine: vectorized, uniform-specialized and
-//! lane-block-parallel execution of fused kernel programs.
+//! The fused execution engine: vectorized, uniform-specialized execution
+//! of fused kernel programs over one lane range on the caller's thread.
 //!
-//! Three compounding layers over the scalar reference interpreter in
+//! Two compounding layers over the scalar reference interpreter in
 //! [`crate::device`]:
 //!
 //! * **Lane-chunked vectorized loops** — every (op, bucket) pair is
@@ -13,22 +13,18 @@
 //!   lane-invariant slots ([`crate::fuse::SlotUniform`]) and constants
 //!   live in a scalar shadow file and are computed once per op, not once
 //!   per lane; they are broadcast only on demotion to per-lane use.
-//! * **Block-parallel execution** — the tid range is split into disjoint
-//!   64-lane-aligned blocks executed on a scoped host-thread pool (one
-//!   [`Scratch`] per worker, raw-pointer device access over provably
-//!   disjoint lane sub-ranges; see [`for_lane_blocks`]).
 //!
 //! Whether a cycle runs over the width-bucketed rows alone or also over
 //! bit-transposed planes is a property of the compiled design
-//! ([`BitLayout`]), picked in [`run_order`]; it is not a strategy.
+//! ([`BitLayout`]), picked in [`run_order`]; it is not a strategy. Host
+//! parallelism lives across stimulus groups (shard devices, serve and
+//! cluster workers), never inside one group's cycle.
 //!
 //! Bit-exactness versus [`crate::device::execute_kernel`] is enforced by
 //! construction: every monomorphized arm calls [`apply_bin`]/[`apply_un`]
 //! with a literal op so the compiler folds the dispatch *after* inlining
 //! the reference semantics, and by the differential tests in
 //! `tests/exec_equivalence.rs`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bitplane::{execute_bitplane_range, BitLayout};
 use crate::device::{apply_bin, apply_un, execute_kernel, mask, DeviceMemory, Scratch};
@@ -43,9 +39,7 @@ pub enum ExecStrategy {
     Scalar,
     /// The fused engine: vectorized and uniform-specialized, over
     /// bit-transposed planes where the compiled [`BitLayout`] has any.
-    /// `threads == 1` is serial; `0` means "use available parallelism";
-    /// `block` is the parallel lane-block size (rounded to 64 lanes).
-    Fused { threads: usize, block: usize },
+    Fused,
 }
 
 /// Structured parse error for [`ExecConfig::parse`] specs.
@@ -61,7 +55,7 @@ pub enum ExecSpecError {
 
 impl std::fmt::Display for ExecSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        const GRAMMAR: &str = "scalar|fused[:threads[:block]][@chunk]";
+        const GRAMMAR: &str = "scalar|fused[@chunk]";
         match self {
             ExecSpecError::UnknownStrategy { token } => {
                 write!(f, "unknown exec strategy `{token}` (expected {GRAMMAR})")
@@ -92,7 +86,7 @@ pub struct ExecConfig {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig::fused(1)
+        ExecConfig::fused()
     }
 }
 
@@ -104,24 +98,20 @@ impl ExecConfig {
         }
     }
 
-    /// The fused engine on `threads` workers: `1` is serial, `0` means
-    /// "use available parallelism".
-    pub const fn fused(threads: usize) -> Self {
+    /// The fused engine at the default lane chunk.
+    pub const fn fused() -> Self {
         ExecConfig {
-            strategy: ExecStrategy::Fused {
-                threads,
-                block: DEFAULT_BLOCK,
-            },
+            strategy: ExecStrategy::Fused,
             lane_chunk: DEFAULT_LANE_CHUNK,
         }
     }
 
-    /// Alias of [`ExecConfig::fused`] under its old name. It exists only
-    /// because `benchmark/` calls it and goes with the next `benchmark/`
-    /// PR.
+    /// Alias of [`ExecConfig::fused`] under its old name; the argument is
+    /// ignored. It exists only because `benchmark/` calls it and goes
+    /// with the next `benchmark/` PR.
     #[doc(hidden)]
-    pub const fn bitplane(threads: usize) -> Self {
-        ExecConfig::fused(threads)
+    pub const fn bitplane(_: usize) -> Self {
+        ExecConfig::fused()
     }
 
     /// Same config with a different lane-chunk size.
@@ -130,58 +120,43 @@ impl ExecConfig {
         self
     }
 
-    /// Same config with a different parallel block size (no-op for the
-    /// scalar oracle).
-    pub const fn with_block(mut self, block: usize) -> Self {
-        if let ExecStrategy::Fused { threads, .. } = self.strategy {
-            self.strategy = ExecStrategy::Fused { threads, block };
-        }
-        self
-    }
-
-    /// Parse a CLI spec: `scalar` or `fused[:threads[:block]]`, each
-    /// optionally suffixed with `@<lane_chunk>` (e.g. `fused@512`,
-    /// `fused:4:2048@128`, `fused:0`). The whole input must be consumed:
-    /// trailing characters after a valid spec are a
+    /// Parse a CLI spec: `scalar` or `fused`, optionally suffixed with
+    /// `@<lane_chunk>` (e.g. `fused@512`). The whole input must be
+    /// consumed: trailing characters after a valid spec are a
     /// [`ExecSpecError::TrailingInput`]/[`ExecSpecError::BadNumber`].
     pub fn parse(s: &str) -> Result<ExecConfig, ExecSpecError> {
-        // Digits only: `usize::from_str` also accepts a leading `+`,
-        // which `spec()` never emits and the grammar does not allow.
-        fn int(what: &'static str, tok: &str) -> Result<usize, ExecSpecError> {
-            let bad = || ExecSpecError::BadNumber {
-                what,
-                token: tok.to_string(),
-            };
-            if tok.is_empty() || !tok.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(bad());
-            }
-            tok.parse().map_err(|_| bad())
-        }
-
         let (base, chunk) = match s.split_once('@') {
-            Some((b, c)) => (b, Some(int("lane-chunk", c)?.max(1))),
+            Some((b, c)) => {
+                // Digits only: `usize::from_str` also accepts a leading
+                // `+`, which `spec()` never emits and the grammar does
+                // not allow.
+                let bad = || ExecSpecError::BadNumber {
+                    what: "lane-chunk",
+                    token: c.to_string(),
+                };
+                if c.is_empty() || !c.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(bad());
+                }
+                (b, Some(c.parse::<usize>().map_err(|_| bad())?.max(1)))
+            }
             None => (s, None),
         };
-        let mut toks = base.split(':');
-        let cfg = match toks.next().unwrap_or("") {
+        let (head, rest) = match base.split_once(':') {
+            Some((h, r)) => (h, Some(r)),
+            None => (base, None),
+        };
+        let cfg = match head {
             "scalar" => ExecConfig::scalar(),
-            "fused" => {
-                let threads = toks.next().map_or(Ok(1), |t| int("thread count", t))?;
-                let block = toks
-                    .next()
-                    .map_or(Ok(DEFAULT_BLOCK), |b| int("block size", b))?;
-                ExecConfig::fused(threads).with_block(block)
-            }
-            head => {
+            "fused" => ExecConfig::fused(),
+            _ => {
                 return Err(ExecSpecError::UnknownStrategy {
                     token: head.to_string(),
                 })
             }
         };
-        let rest: Vec<&str> = toks.collect();
-        if !rest.is_empty() {
+        if let Some(rest) = rest {
             return Err(ExecSpecError::TrailingInput {
-                rest: rest.join(":"),
+                rest: rest.to_string(),
             });
         }
         Ok(match chunk {
@@ -192,48 +167,17 @@ impl ExecConfig {
 
     /// Canonical spec string that [`ExecConfig::parse`] round-trips.
     pub fn spec(&self) -> String {
-        let mut s = match self.strategy {
-            ExecStrategy::Scalar => "scalar".to_string(),
-            ExecStrategy::Fused { threads, block } => {
-                if block != DEFAULT_BLOCK {
-                    format!("fused:{threads}:{block}")
-                } else if threads != 1 {
-                    format!("fused:{threads}")
-                } else {
-                    "fused".to_string()
-                }
-            }
+        let head = match self.strategy {
+            ExecStrategy::Scalar => "scalar",
+            ExecStrategy::Fused => "fused",
         };
         if self.lane_chunk != DEFAULT_LANE_CHUNK {
-            s.push_str(&format!("@{}", self.lane_chunk));
+            format!("{head}@{}", self.lane_chunk)
+        } else {
+            head.to_string()
         }
-        s
-    }
-
-    /// Worker-thread count this config wants (1 for the scalar oracle).
-    /// A host that cannot report its parallelism gets one worker: an
-    /// unknown host must not be oversubscribed.
-    pub fn thread_count(&self) -> usize {
-        match self.strategy {
-            ExecStrategy::Scalar => 1,
-            ExecStrategy::Fused { threads: 0, .. } => {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            }
-            ExecStrategy::Fused { threads, .. } => threads,
-        }
-    }
-
-    /// One fresh [`Scratch`] per worker thread this config wants.
-    pub fn scratch_pool(&self) -> Vec<Scratch> {
-        (0..self.thread_count().max(1))
-            .map(|_| Scratch::new())
-            .collect()
     }
 }
-
-/// Lane block size for block-parallel execution: big enough to amortize
-/// scratch sweeps, small enough to load-balance (a GPU thread block).
-pub const DEFAULT_BLOCK: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // Lane element abstraction over the four width buckets.
@@ -1205,95 +1149,14 @@ pub fn execute_ordered(
 /// per design/host.
 pub const DEFAULT_LANE_CHUNK: usize = 256;
 
-/// The device image as the lane-block workers of [`for_lane_blocks`]
-/// share it.
-struct DevPtr(*mut DeviceMemory);
-// SAFETY: the pointer comes from the `&mut DeviceMemory` that
-// `for_lane_blocks` holds for the whole scope its workers live in, so it
-// is valid and nothing outside the scope touches the image meanwhile.
-// `DeviceMemory` is plain owned data (four bucket `Vec`s and an optional
-// boxed plane `Vec`), none of it thread-affine, and no worker grows,
-// shrinks, attaches or detaches any of them. Workers claim distinct
-// block indices from one atomic counter, and block `i` covers lanes
-// `[max(64·w_i, tid0), min(64·w_{i+1}, end))` for a strictly increasing
-// word sequence `w`: the lane intervals are pairwise disjoint and every
-// boundary between two blocks is a multiple of 64. Every executor
-// (`execute_ordered`, the escape scatter, the bit programs) given lanes
-// `[t0, t1)` reads and writes only elements `offset * N + t` of bucket
-// rows with `t` in that interval, and only words `[t0/64, ceil(t1/64))`
-// of a plane, partial edge words under a lane mask; with boundaries on
-// multiples of 64 two blocks never share a plane word. So no element is
-// written by one worker and accessed by another. (The workers' `&mut`
-// views of the image do overlap as references; that lane discipline is
-// all that separates them, so `for_lane_blocks` stays crate-private and
-// everything called through it must keep to its lanes.)
-unsafe impl Send for DevPtr {}
-unsafe impl Sync for DevPtr {}
-
-/// The one block-parallel driver: call `run(dev, scratch, t0, t1)` over
-/// lanes `[tid0, tid0 + group)` cut into 64-lane-aligned blocks of
-/// `block` lanes, claimed from an atomic counter by up to
-/// `scratches.len()` scoped workers. With one scratch (or one block) it
-/// is a single call on the caller's thread.
-///
-/// `run` must confine itself to lanes `[t0, t1)` of every row and to the
-/// plane words covering them; see the SAFETY argument on [`DevPtr`].
-pub(crate) fn for_lane_blocks(
-    dev: &mut DeviceMemory,
-    scratches: &mut [Scratch],
-    tid0: usize,
-    group: usize,
-    block: usize,
-    run: impl Fn(&mut DeviceMemory, &mut Scratch, usize, usize) + Sync,
-) {
-    if group == 0 {
-        return;
-    }
-    let end = tid0 + group;
-    let w_start = tid0 / 64;
-    let w_end = end.div_ceil(64);
-    let words_per_block = (block / 64).max(1);
-    let nblocks = (w_end - w_start).div_ceil(words_per_block);
-    let workers = scratches.len().min(nblocks);
-    if workers <= 1 {
-        run(dev, &mut scratches[0], tid0, end);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let devp = DevPtr(dev);
-    let (next, devp, run) = (&next, &devp, &run);
-    std::thread::scope(|sc| {
-        for scratch in scratches[..workers].iter_mut() {
-            sc.spawn(move || loop {
-                // Relaxed: the counter hands out indices and publishes
-                // nothing; the scope's join orders the workers' writes
-                // before the caller's next read.
-                let bi = next.fetch_add(1, Ordering::Relaxed);
-                if bi >= nblocks {
-                    break;
-                }
-                let bw0 = w_start + bi * words_per_block;
-                let bw1 = (bw0 + words_per_block).min(w_end);
-                let t0 = (bw0 * 64).max(tid0);
-                let t1 = (bw1 * 64).min(end);
-                // SAFETY: see `DevPtr` — this block's lanes and plane
-                // words belong to no other worker.
-                let dev = unsafe { &mut *devp.0 };
-                run(dev, scratch, t0, t1);
-            });
-        }
-    });
-}
-
 /// Execute the kernels `order` names for lanes `[tid0, tid0 + group)`
 /// under `exec`: the one place a config becomes an executor call.
 /// `kernels` is the scalar reference form of the program and `fused` the
 /// same kernels fused. The fused engine picks its data path from what it
 /// is given: a `bit` layout with planes runs the transposed engine
 /// (attaching the planes on first use), no layout or a zero-plane one
-/// runs [`execute_ordered`] over `fused`. `scratches` holds at least one
-/// element, one per worker. Returns the ops computed once as scalars
-/// instead of once per lane.
+/// runs [`execute_ordered`] over `fused`. Returns the ops computed once
+/// as scalars instead of once per lane.
 #[allow(clippy::too_many_arguments)]
 pub fn run_order(
     kernels: &[Kernel],
@@ -1301,7 +1164,7 @@ pub fn run_order(
     bit: Option<&BitLayout>,
     order: &[usize],
     dev: &mut DeviceMemory,
-    scratches: &mut [Scratch],
+    scratch: &mut Scratch,
     tid0: usize,
     group: usize,
     exec: &ExecConfig,
@@ -1310,25 +1173,18 @@ pub fn run_order(
     match (exec.strategy, bit.filter(|l| l.num_planes() > 0)) {
         (ExecStrategy::Scalar, _) => {
             for &k in order {
-                execute_kernel(&kernels[k], dev, &mut scratches[0], tid0, group);
+                execute_kernel(&kernels[k], dev, scratch, tid0, group);
             }
         }
-        (ExecStrategy::Fused { block, .. }, Some(layout)) => {
+        (ExecStrategy::Fused, Some(layout)) => {
             dev.attach_bitplane(layout);
-            for_lane_blocks(dev, scratches, tid0, group, block, |dev, s, t0, t1| {
-                execute_bitplane_range(layout, order, dev, s, t0, t1, chunk)
-            });
+            execute_bitplane_range(layout, order, dev, scratch, tid0, tid0 + group, chunk);
         }
-        (ExecStrategy::Fused { block, .. }, None) => {
-            for_lane_blocks(dev, scratches, tid0, group, block, |dev, s, t0, t1| {
-                execute_ordered(fused, order, dev, s, t0, t1 - t0, chunk)
-            });
+        (ExecStrategy::Fused, None) => {
+            execute_ordered(fused, order, dev, scratch, tid0, group, chunk);
         }
     }
-    scratches
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.scalar_ops))
-        .sum()
+    std::mem::take(&mut scratch.scalar_ops)
 }
 
 #[cfg(test)]
@@ -1399,73 +1255,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_scalar() {
-        let n = 257;
-        let k = demo_kernel();
-        let fk = fuse_kernel(&k, None);
-        let mut d1 = seed_dev(n);
-        let mut d2 = seed_dev(n);
-        execute_kernel(&k, &mut d1, &mut Scratch::new(), 0, n);
-        let mut pool: Vec<Scratch> = (0..3).map(|_| Scratch::new()).collect();
-        run_order(
-            std::slice::from_ref(&k),
-            &[fk],
-            None,
-            &[0],
-            &mut d2,
-            &mut pool,
-            0,
-            n,
-            &ExecConfig::fused(3).with_block(64),
-        );
-        assert_eq!(d1.var16, d2.var16);
-    }
-
-    #[test]
-    fn lane_blocks_tile_the_window_on_word_boundaries() {
-        let mut dev = DeviceMemory::new(512, 0, 0, 0, 0);
-        let windows = [
-            (0, 512, 64),
-            (37, 374, 128),
-            (5, 20, 1),
-            (63, 2, 64),
-            (0, 0, 64),
-        ];
-        for (tid0, group, block) in windows {
-            let seen = std::sync::Mutex::new(Vec::new());
-            let mut pool = ExecConfig::fused(4).scratch_pool();
-            for_lane_blocks(&mut dev, &mut pool, tid0, group, block, |_, _, t0, t1| {
-                seen.lock().unwrap().push((t0, t1));
-            });
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
-            let mut at = tid0;
-            for (t0, t1) in seen {
-                assert!(t0 == at && t1 > t0, "blocks must tile the window");
-                assert!(t0 == tid0 || t0 % 64 == 0, "boundary {t0} not word-aligned");
-                at = t1;
-            }
-            assert_eq!(at, tid0 + group);
-        }
-    }
-
-    #[test]
     fn exec_config_parse() {
         assert_eq!(ExecConfig::parse("scalar").unwrap(), ExecConfig::scalar());
         assert_eq!(ExecConfig::parse("fused").unwrap(), ExecConfig::default());
         assert_eq!(
-            ExecConfig::parse("fused:8").unwrap().strategy,
-            ExecStrategy::Fused {
-                threads: 8,
-                block: DEFAULT_BLOCK
-            }
+            ExecConfig::parse("fused@512").unwrap(),
+            ExecConfig::fused().with_lane_chunk(512)
         );
         assert_eq!(
-            ExecConfig::parse("fused:0:2048").unwrap().strategy,
-            ExecStrategy::Fused {
-                threads: 0,
-                block: 2048
-            }
+            ExecConfig::parse("fused").unwrap().strategy,
+            ExecStrategy::Fused
         );
         assert!(ExecConfig::parse("wat").is_err());
         assert!(ExecConfig::parse("fused@zero").is_err());
@@ -1481,31 +1280,30 @@ mod tests {
             })
         );
         assert_eq!(
-            ExecConfig::parse("scalar:3"),
-            Err(ExecSpecError::TrailingInput {
-                rest: "3".to_string()
-            })
-        );
-        assert_eq!(
-            ExecConfig::parse("fused:4:1024:9"),
-            Err(ExecSpecError::TrailingInput {
-                rest: "9".to_string()
-            })
-        );
-        assert_eq!(
-            ExecConfig::parse("fused:+4"),
+            ExecConfig::parse("fused@+4"),
             Err(ExecSpecError::BadNumber {
-                what: "thread count",
+                what: "lane-chunk",
                 token: "+4".to_string()
             })
         );
-        assert_eq!(
-            ExecConfig::parse("fused:"),
-            Err(ExecSpecError::BadNumber {
-                what: "thread count",
-                token: String::new()
-            })
-        );
+        // The thread and block fields are gone: what used to set them is
+        // trailing input now, never an alias of `fused`.
+        for (spec, rest) in [
+            ("scalar:3", "3"),
+            ("fused:2", "2"),
+            ("fused:0:2048", "0:2048"),
+            ("fused:4@512", "4"),
+            ("fused:4:1024:9", "4:1024:9"),
+            ("fused:", ""),
+        ] {
+            assert_eq!(
+                ExecConfig::parse(spec),
+                Err(ExecSpecError::TrailingInput {
+                    rest: rest.to_string()
+                }),
+                "`{spec}`"
+            );
+        }
         // The heads of the strategies that were folded into `fused` are
         // unknown like any other word, not aliases.
         for head in ["warp", "vector", "vectorized", "par", "parallel", "bitpar"] {
@@ -1520,7 +1318,7 @@ mod tests {
         }
         // Errors render with the grammar hint for the CLI.
         let msg = ExecConfig::parse("fused@1024junk").unwrap_err().to_string();
-        assert!(msg.contains("lane-chunk") && msg.contains("fused[:threads[:block]]"));
+        assert!(msg.contains("lane-chunk") && msg.contains("scalar|fused[@chunk]"));
     }
 
     #[test]
@@ -1528,20 +1326,13 @@ mod tests {
         for spec in [
             ExecConfig::scalar(),
             ExecConfig::scalar().with_lane_chunk(64),
-            ExecConfig::fused(1),
-            ExecConfig::fused(1).with_lane_chunk(512),
-            ExecConfig::fused(1).with_block(128),
-            ExecConfig::fused(0),
-            ExecConfig::fused(4).with_block(2048),
-            ExecConfig::fused(0).with_block(4096).with_lane_chunk(64),
+            ExecConfig::fused(),
+            ExecConfig::fused().with_lane_chunk(512),
         ] {
             assert_eq!(ExecConfig::parse(&spec.spec()).unwrap(), spec);
         }
-        assert_eq!(
-            ExecConfig::parse("fused:4:2048@128").unwrap(),
-            ExecConfig::fused(4).with_block(2048).with_lane_chunk(128)
-        );
         assert_eq!(ExecConfig::default().spec(), "fused");
-        assert_eq!(ExecConfig::bitplane(2), ExecConfig::fused(2));
+        assert_eq!(ExecConfig::fused().with_lane_chunk(128).spec(), "fused@128");
+        assert_eq!(ExecConfig::bitplane(1), ExecConfig::fused());
     }
 }

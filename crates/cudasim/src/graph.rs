@@ -130,8 +130,6 @@ pub struct GpuRuntime {
     sm: Resource,
     /// Functional-execution config (scalar oracle or the fused engine).
     pub exec: ExecConfig,
-    /// Per-worker scratch pool for block-parallel execution.
-    par_scratch: Vec<Scratch>,
     /// Functional cycles executed (for per-cycle stats).
     cycles: u64,
     /// Ops computed once as scalars instead of per lane, summed.
@@ -153,12 +151,10 @@ impl GpuRuntime {
     /// Build a runtime with an explicit functional-execution strategy.
     pub fn with_exec(model: GpuModel, exec: ExecConfig) -> Self {
         let sm = Resource::new("gpu", model.sms);
-        let par_scratch = exec.scratch_pool();
         GpuRuntime {
             model,
             sm,
             exec,
-            par_scratch,
             cycles: 0,
             scalar_ops: 0,
         }
@@ -196,19 +192,14 @@ impl GpuRuntime {
     ) -> CycleTiming {
         // Functional execution (identical for both modes and both
         // strategies — bit-exactness is enforced by differential tests),
-        // then timing. A serial config runs on the caller's scratch.
-        let scratches = if self.par_scratch.len() > 1 {
-            &mut self.par_scratch[..]
-        } else {
-            std::slice::from_mut(scratch)
-        };
+        // then timing.
         self.scalar_ops += run_order(
             &graph.ir.kernels,
             &graph.fused,
             graph.bit.as_ref(),
             &graph.order,
             dev,
-            scratches,
+            scratch,
             tid0,
             group,
             &self.exec,

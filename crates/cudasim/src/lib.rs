@@ -35,7 +35,7 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use device::{execute_kernel, DeviceMemory, Scratch};
 pub use exec::{
     execute_fused, execute_ordered, run_order, ExecConfig, ExecSpecError, ExecStrategy,
-    DEFAULT_BLOCK, DEFAULT_LANE_CHUNK,
+    DEFAULT_LANE_CHUNK,
 };
 pub use fuse::{
     fuse_graph, fuse_graph_with, fuse_kernel, fuse_kernel_with, ExecStats, FOp, FuseConfig,

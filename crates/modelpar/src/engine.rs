@@ -156,8 +156,7 @@ impl PartEngine {
         })
     }
 
-    /// Execute one phase under `exec`. `scratches` must hold at least one
-    /// element (one per worker thread for block-parallel execution).
+    /// Execute one phase under `exec`.
     ///
     /// No bit layout is handed to the engine, so it runs the word-domain
     /// path: the phase split slices the schedule mid-cycle, which the
@@ -167,7 +166,7 @@ impl PartEngine {
         &self,
         phase: &[usize],
         dev: &mut DeviceMemory,
-        scratches: &mut [Scratch],
+        scratch: &mut Scratch,
         tid0: usize,
         group: usize,
         exec: &ExecConfig,
@@ -178,7 +177,7 @@ impl PartEngine {
             None,
             phase,
             dev,
-            scratches,
+            scratch,
             tid0,
             group,
             exec,

@@ -54,6 +54,7 @@ pub fn simulate_modelpar(
     let group_size = group_size.max(1);
     let mut digests = vec![0u64; n];
     let mut frame = vec![0u64; lanes];
+    let mut scratch = Scratch::new();
 
     let mut tid0 = 0usize;
     while tid0 < n {
@@ -62,8 +63,6 @@ pub fn simulate_modelpar(
             .iter()
             .map(|e| e.program.plan.alloc_device(len))
             .collect();
-        let mut scratches: Vec<Vec<Scratch>> =
-            engines.iter().map(|_| exec.scratch_pool()).collect();
         // Exports extracted at the end of the previous cycle, per part.
         let mut in_flight: Vec<Option<Vec<u8>>> = vec![None; k];
 
@@ -76,45 +75,29 @@ pub fn simulate_modelpar(
                     }
                 }
             }
-            for ((e, dev), sc) in engines
-                .iter()
-                .zip(devs.iter_mut())
-                .zip(scratches.iter_mut())
-            {
-                e.run_phase(&e.pre, dev, sc, 0, len, exec);
+            for (e, dev) in engines.iter().zip(devs.iter_mut()) {
+                e.run_phase(&e.pre, dev, &mut scratch, 0, len, exec);
             }
             if c > 0 {
                 apply_all(&engines, &mut devs, &in_flight, len)?;
             }
-            for ((e, dev), sc) in engines
-                .iter()
-                .zip(devs.iter_mut())
-                .zip(scratches.iter_mut())
-            {
-                e.run_phase(&e.mid, dev, sc, 0, len, exec);
+            for (e, dev) in engines.iter().zip(devs.iter_mut()) {
+                e.run_phase(&e.mid, dev, &mut scratch, 0, len, exec);
             }
             for (p, (e, dev)) in engines.iter().zip(devs.iter()).enumerate() {
                 in_flight[p] = (e.export_codec.num_vars() > 0).then(|| e.extract_exports(dev, len));
             }
-            for ((e, dev), sc) in engines
-                .iter()
-                .zip(devs.iter_mut())
-                .zip(scratches.iter_mut())
-            {
-                e.run_phase(&e.post, dev, sc, 0, len, exec);
+            for (e, dev) in engines.iter().zip(devs.iter_mut()) {
+                e.run_phase(&e.post, dev, &mut scratch, 0, len, exec);
             }
         }
         // Final settle: apply the last cycle's exports, re-run pass 1 so
         // comb-driven outputs reflect final state everywhere.
         if cycles > 0 {
             apply_all(&engines, &mut devs, &in_flight, len)?;
-            for ((e, dev), sc) in engines
-                .iter()
-                .zip(devs.iter_mut())
-                .zip(scratches.iter_mut())
-            {
+            for (e, dev) in engines.iter().zip(devs.iter_mut()) {
                 if !e.imports.is_empty() {
-                    e.run_phase(&e.refresh, dev, sc, 0, len, exec);
+                    e.run_phase(&e.refresh, dev, &mut scratch, 0, len, exec);
                 }
             }
         }

@@ -41,7 +41,7 @@ pub struct GroupRunner<'p> {
     program: &'p KernelProgram,
     exec: ExecConfig,
     dev: DeviceMemory,
-    scratches: Vec<Scratch>,
+    scratch: Scratch,
     frame: Vec<u64>,
     cycle: u64,
     scalar_ops: u64,
@@ -53,7 +53,7 @@ impl<'p> GroupRunner<'p> {
             program,
             exec,
             dev: program.plan.alloc_device(len),
-            scratches: exec.scratch_pool(),
+            scratch: Scratch::new(),
             frame: Vec::new(),
             cycle: 0,
             scalar_ops: 0,
@@ -110,7 +110,7 @@ impl<'p> GroupRunner<'p> {
         let n = self.dev.n();
         self.scalar_ops +=
             self.program
-                .run_cycle_exec(&mut self.dev, &mut self.scratches, 0, n, &self.exec);
+                .run_cycle_exec(&mut self.dev, &mut self.scratch, 0, n, &self.exec);
         self.cycle += 1;
     }
 
@@ -233,10 +233,9 @@ mod tests {
     fn every_strategy_matches_scalar_at_awkward_group_lengths() {
         let (design, program, map) = setup();
         let strategies = [
-            ExecConfig::fused(1),
-            ExecConfig::fused(1).with_lane_chunk(7),
-            ExecConfig::fused(2),
-            ExecConfig::fused(3).with_block(64),
+            ExecConfig::fused(),
+            ExecConfig::fused().with_lane_chunk(7),
+            ExecConfig::fused().with_lane_chunk(64),
         ];
         for len in [1usize, 63, 64, 65, 257] {
             let src = stimulus::RiscvSource::new(&map, len, 0x77);

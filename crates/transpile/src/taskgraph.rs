@@ -248,13 +248,12 @@ impl KernelProgram {
         );
     }
 
-    /// Execute one cycle under `exec`. `scratches` must hold at least one
-    /// element (one per worker for block-parallel execution).
-    /// Returns the ops computed once as scalars instead of once per lane.
+    /// Execute one cycle under `exec`. Returns the ops computed once as
+    /// scalars instead of once per lane.
     pub fn run_cycle_exec(
         &self,
         dev: &mut DeviceMemory,
-        scratches: &mut [Scratch],
+        scratch: &mut Scratch,
         tid0: usize,
         group: usize,
         exec: &ExecConfig,
@@ -265,7 +264,7 @@ impl KernelProgram {
             Some(&self.bit),
             &self.order,
             dev,
-            scratches,
+            scratch,
             tid0,
             group,
             exec,

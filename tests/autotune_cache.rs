@@ -237,9 +237,9 @@ fn tuned_configs_are_bit_identical_to_scalar_reference() {
 
         let mut dev_ref = flow.program.plan.alloc_device(n);
         let mut dev_tuned = tuned_prog.plan.alloc_device(n);
-        let mut scratch_ref = vec![Scratch::new()];
+        let mut scratch_ref = Scratch::new();
         let exec = report.artifact.exec;
-        let mut scratch_tuned = exec.scratch_pool();
+        let mut scratch_tuned = Scratch::new();
 
         for c in 0..cycles {
             for s in 0..n {

@@ -1,8 +1,8 @@
 //! Differential equivalence of the execution engine: the fused engine —
-//! with no layout, with a bit-transposed layout on one thread, and with
-//! the layout on several threads over misaligned lane windows — must be
-//! bit-identical to the scalar reference interpreter, checkpoints through
-//! the transposed region included —
+//! with no layout and with a bit-transposed layout, over full, partial
+//! and misaligned lane windows — must be bit-identical to the scalar
+//! reference interpreter, checkpoints through the transposed region
+//! included —
 //!
 //! * on randomly generated (but valid) kernel IR over randomly
 //!   initialized device memory, for every width bucket, including
@@ -341,9 +341,8 @@ fn assert_matches_reference(a: &DeviceMemory, b: &DeviceMemory, what: &str, tria
 }
 
 /// One differential trial: a fuzzed graph over a seeded device, three
-/// cycles on lanes `[tid0, tid0 + group)`, the fused engine four ways —
-/// without and with the compiled layout, on one thread and on four over
-/// 64-lane blocks, with a fuzzed lane-chunk size (including the
+/// cycles on lanes `[tid0, tid0 + group)`, the fused engine without and
+/// with the compiled layout, with a fuzzed lane-chunk size (including the
 /// degenerate chunk of 1 and chunks larger than the lane range) — each
 /// bit-identical to the scalar reference after every cycle, plus a
 /// checkpoint round-trip through the transposed region.
@@ -352,7 +351,7 @@ fn assert_matches_reference(a: &DeviceMemory, b: &DeviceMemory, what: &str, tria
 /// 1-bit signals: width-1 input roots that the graph only ever stores at
 /// width 1 and whose seeds are masked to 0/1, the contract a width-1 root
 /// makes (the rest stay width-8). Returns whether the layout kept any
-/// plane: one that did not runs the no-layout path all four ways, and the
+/// plane: one that did not runs the no-layout path every way, and the
 /// bit trials check that enough of them are not of that kind.
 fn run_trial(trial: u64, n: usize, tid0: usize, group: usize, biased: bool) -> bool {
     let mut rng = Rng::new(if biased { trial ^ 0xb17b17 } else { trial });
@@ -388,30 +387,29 @@ fn run_trial(trial: u64, n: usize, tid0: usize, group: usize, biased: bool) -> b
     }
 
     let chunk = [1usize, 3, 17, 64, 256, 1000][rng.below(6) as usize];
-    // (worker threads, whether the engine is handed the layout)
-    let engines = [(1, false), (4, false), (1, true), (4, true)];
+    let exec = ExecConfig::fused().with_lane_chunk(chunk);
+    // Whether the engine is handed the layout. The third device runs the
+    // layout too and is restored from a checkpoint after every cycle.
+    let engines = [false, true, true];
     let mut devs = vec![dev_s.clone(); engines.len()];
     let mut scratch = Scratch::new();
     for cycle in 0..3u64 {
         for &k in &order {
             execute_kernel(&ir.kernels[k], &mut dev_s, &mut scratch, tid0, group);
         }
-        for (&(threads, with_layout), dev) in engines.iter().zip(&mut devs) {
-            let exec = ExecConfig::fused(threads)
-                .with_block(64)
-                .with_lane_chunk(chunk);
+        for (&with_layout, dev) in engines.iter().zip(&mut devs) {
             run_order(
                 &ir.kernels,
                 &fused,
                 with_layout.then_some(&layout),
                 &order,
                 dev,
-                &mut exec.scratch_pool(),
+                &mut scratch,
                 tid0,
                 group,
                 &exec,
             );
-            let what = format!("fused:{threads} layout={with_layout}");
+            let what = format!("{} layout={with_layout}", exec.spec());
             assert_matches_reference(&dev_s, dev, &what, trial);
         }
 
@@ -420,9 +418,9 @@ fn run_trial(trial: u64, n: usize, tid0: usize, group: usize, biased: bool) -> b
         // restore into the attached device must leave the next cycle
         // bit-identical.
         let ck_s = Checkpoint::capture(&dev_s, 1, cycle, tid0 as u64);
-        let ck_b = Checkpoint::capture(&devs[2], 1, cycle, tid0 as u64);
+        let ck_b = Checkpoint::capture(&devs[1], 1, cycle, tid0 as u64);
         assert_eq!(ck_s, ck_b, "checkpoint diverged (trial {trial})");
-        ck_s.restore_into(&mut devs[3]).unwrap();
+        ck_s.restore_into(&mut devs[2]).unwrap();
     }
     layout.num_planes() > 0
 }
@@ -493,7 +491,7 @@ fn compare_engines(b: Benchmark, n: usize, cycles: u64, engines: &[(ExecConfig, 
     let source = stimulus::source_for(&flow.design, &map, n, 0x5eed);
     let mut frame = vec![0u64; map.len()];
     let mut devs: Vec<DeviceMemory> = engines.iter().map(|_| p.plan.alloc_device(n)).collect();
-    let mut pools: Vec<Vec<Scratch>> = engines.iter().map(|(e, _)| e.scratch_pool()).collect();
+    let mut scratch = Scratch::new();
 
     for c in 0..cycles {
         for dev in devs.iter_mut() {
@@ -511,7 +509,7 @@ fn compare_engines(b: Benchmark, n: usize, cycles: u64, engines: &[(ExecConfig, 
                 layout.then_some(&p.bit),
                 &p.order,
                 &mut devs[i],
-                &mut pools[i],
+                &mut scratch,
                 0,
                 n,
                 exec,
@@ -528,29 +526,25 @@ fn compare_engines(b: Benchmark, n: usize, cycles: u64, engines: &[(ExecConfig, 
 /// The lane-chunk size is a pure scheduling knob: every chunk size —
 /// degenerate (1), sub-default (64), default (256), and a non-power-of-
 /// two larger than the batch (1000) — must leave the device state
-/// bit-identical to the scalar reference on one worker and on three.
+/// bit-identical to the scalar reference.
 #[test]
 fn lane_chunk_sizes_are_bit_identical() {
     let mut engines = vec![(ExecConfig::scalar(), true)];
     for chunk in [1usize, 64, 256, 1000] {
-        let three = ExecConfig::fused(3).with_block(64);
-        engines.push((ExecConfig::fused(1).with_lane_chunk(chunk), true));
-        engines.push((three.with_lane_chunk(chunk), true));
+        engines.push((ExecConfig::fused().with_lane_chunk(chunk), true));
     }
-    // Three 64-lane blocks, not a multiple of any chunk size.
+    // Not a multiple of any chunk size.
     compare_engines(Benchmark::Nvdla(NvdlaScale::Tiny), 161, 12, &engines);
 }
 
-/// The benchmark designs: the fused engine — with no layout, with the
-/// compiled layout on one thread, and with it on two threads over 64-lane
-/// blocks — must reproduce the scalar reference bit-for-bit.
+/// The benchmark designs: the fused engine, with no layout and with the
+/// compiled layout, must reproduce the scalar reference bit-for-bit.
 #[test]
 fn benchmark_designs_match_scalar_reference() {
     let engines = [
         (ExecConfig::scalar(), false),
-        (ExecConfig::fused(1), false),
-        (ExecConfig::fused(1), true),
-        (ExecConfig::fused(2).with_block(64), true),
+        (ExecConfig::fused(), false),
+        (ExecConfig::fused(), true),
     ];
     for (b, n) in [
         (Benchmark::RiscvMini, 24usize),

@@ -1,8 +1,8 @@
 //! Frontend equivalence: a design entering through the Yosys-JSON netlist
 //! importer must be bit-identical to the same design entering through the
 //! Verilog subset parser — across the scalar oracle and the fused engine
-//! (serial and block-parallel), with the pattern rewriter on or off — and the
-//! picorv32 netlist fixture must match the golden interpreter running on
+//! (at the default and at a small lane chunk), with the pattern rewriter
+//! on or off — and the picorv32 netlist fixture must match the golden interpreter running on
 //! the un-rewritten import.
 
 use rtlflow::{ExecConfig, Flow, Interp, PipelineConfig, PortMap};
@@ -22,8 +22,8 @@ endmodule
 fn exec_configs() -> [(&'static str, ExecConfig); 3] {
     [
         ("scalar", ExecConfig::scalar()),
-        ("fused", ExecConfig::fused(1)),
-        ("fused:2", ExecConfig::fused(2)),
+        ("fused", ExecConfig::fused()),
+        ("fused@64", ExecConfig::fused().with_lane_chunk(64)),
     ]
 }
 
