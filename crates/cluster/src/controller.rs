@@ -436,15 +436,24 @@ impl Controller {
             .min(wire_cap.max(1));
         let num_groups = n.div_ceil(group_size);
         let mut groups = Vec::with_capacity(num_groups);
+        let mut cols = Vec::new();
         for g in 0..num_groups {
             let tid0 = g * group_size;
             let len = group_size.min(n - tid0);
-            // Each frame is filled where it will be sent from.
+            // Each frame is filled where it will be sent from: one column
+            // fill per cycle, scattered into the `[stimulus][cycle][lane]`
+            // block.
             let mut frames = vec![0u64; len * cycles as usize * lanes];
             if lanes > 0 {
-                for (k, frame) in frames.chunks_exact_mut(lanes).enumerate() {
-                    let (s, c) = (k / cycles as usize, k as u64 % cycles);
-                    source.fill_frame(tid0 + s, c, frame);
+                cols.resize(lanes * len, 0);
+                for c in 0..cycles {
+                    source.fill_columns(c, tid0, len, len, &mut cols);
+                    let rows = frames.chunks_exact_mut(lanes).skip(c as usize);
+                    for (s, frame) in rows.step_by(cycles as usize).enumerate() {
+                        for (p, f) in frame.iter_mut().enumerate() {
+                            *f = cols[p * len + s];
+                        }
+                    }
                 }
             }
             groups.push(GroupDispatch {

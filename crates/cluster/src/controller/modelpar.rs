@@ -31,8 +31,8 @@ use stimulus::StimulusSource;
 use super::{lock, ClusterJobResult, Controller, WorkerConn};
 use crate::error::ClusterError;
 use crate::wire::{
-    read_frame, write_frame, BatchDescriptor, Frame, FrameWriter, GroupDispatch, PartDispatchRef,
-    PartResult,
+    read_frame, write_frame, BatchDescriptor, Frame, FrameWriter, GroupDispatch,
+    PartCheckpointUpdate, PartDispatchRef, PartResult,
 };
 
 /// Hard cap on rollback epochs per group; hitting it means deaths are
@@ -386,8 +386,7 @@ impl Controller {
                             false
                         }
                         SessionEnd::Done(_) | SessionEnd::Bailed => {
-                            let ok =
-                                self.abort_and_drain(&mut conns[p], desc.batch, g.group, epoch);
+                            let ok = self.abort_and_drain(p, &mut conns[p], &ctx);
                             if !ok {
                                 self.record_part_death(&conns[p], false);
                             }
@@ -449,6 +448,12 @@ impl Controller {
             match read_frame(&mut conn.stream) {
                 Ok((frame, bytes)) => {
                     self.count_rx(conn, bytes);
+                    // A checkpoint is kept even once the epoch is doomed:
+                    // the rollback restarts from the deepest one received.
+                    if let Frame::PartCheckpoint(u) = frame {
+                        self.keep_checkpoint(p, ctx, u);
+                        continue;
+                    }
                     if ctx.failed.load(Ordering::Acquire) {
                         return SessionEnd::Bailed;
                     }
@@ -470,22 +475,6 @@ impl Controller {
                                 let mut w = lock(&ctx.writers[q]);
                                 let _ = write_frame(&mut *w, &Frame::Boundary(b.clone()));
                             }
-                        }
-                        Frame::PartCheckpoint(u)
-                            if u.batch == batch
-                                && u.group == group
-                                && u.part == part
-                                && u.epoch == epoch
-                                && u.tid0 == ctx.tid0
-                                && u.cycle > 0
-                                && u.cycle < ctx.desc.cycles
-                                && !u.image.is_empty() =>
-                        {
-                            let image_len = u.image.len() as u64;
-                            lock(ctx.ck)[p].insert(u.cycle, u.image);
-                            let mut m = lock(&self.shared.metrics);
-                            m.checkpoints_received += 1;
-                            m.checkpoint_bytes += image_len;
                         }
                         Frame::PartDone(r) => {
                             if r.epoch != epoch {
@@ -530,10 +519,32 @@ impl Controller {
         }
     }
 
+    /// Store part `p`'s checkpoint if it belongs to this group and epoch
+    /// and names a cycle strictly inside the run.
+    fn keep_checkpoint(&self, p: usize, ctx: &GroupCtx<'_>, u: PartCheckpointUpdate) {
+        if u.batch == ctx.desc.batch
+            && u.group == ctx.group
+            && u.part == p as u32
+            && u.epoch == ctx.epoch
+            && u.tid0 == ctx.tid0
+            && u.cycle > 0
+            && u.cycle < ctx.desc.cycles
+            && !u.image.is_empty()
+        {
+            let image_len = u.image.len() as u64;
+            lock(ctx.ck)[p].insert(u.cycle, u.image);
+            let mut m = lock(&self.shared.metrics);
+            m.checkpoints_received += 1;
+            m.checkpoint_bytes += image_len;
+        }
+    }
+
     /// Abort one surviving part and drain its socket until the abort
-    /// echo arrives, discarding stale boundary/checkpoint/result traffic
-    /// from the doomed epoch. Returns whether the worker is still alive.
-    fn abort_and_drain(&self, conn: &mut WorkerConn, batch: u64, group: u32, epoch: u32) -> bool {
+    /// echo arrives, keeping its valid checkpoints and discarding the
+    /// doomed epoch's other traffic. Returns whether the worker is still
+    /// alive.
+    fn abort_and_drain(&self, p: usize, conn: &mut WorkerConn, ctx: &GroupCtx<'_>) -> bool {
+        let (batch, group, epoch) = (ctx.desc.batch, ctx.group, ctx.epoch);
         let abort = Frame::PartAbort {
             batch,
             group,
@@ -557,6 +568,10 @@ impl Controller {
                     if b == batch && g == group && e >= epoch {
                         return true;
                     }
+                }
+                Ok((Frame::PartCheckpoint(u), bytes)) => {
+                    self.count_rx(conn, bytes);
+                    self.keep_checkpoint(p, ctx, u);
                 }
                 Ok((_, bytes)) => self.count_rx(conn, bytes),
                 Err(_) => return false,

@@ -829,13 +829,11 @@ fn run_part(
         sink.send(&boundary(start_cycle - 1, pe.extract_exports(&dev, len)));
         xs.exchange_start = Some(Instant::now());
     }
+    let mut col = Vec::new();
     for c in start_cycle..cycles {
-        for s in 0..len {
-            let base = (s * cycles as usize + c as usize) * lanes;
-            for (lane, &lv) in pe.sub.parent_inputs.iter().enumerate() {
-                pe.program.plan.poke(&mut dev, lv, s, p.frames[base + lane]);
-            }
-        }
+        let vars = pe.sub.parent_inputs.iter().copied();
+        let plan = &pe.program.plan;
+        plan.poke_block(&mut dev, vars, &p.frames, cycles, c, &mut col);
         pe.run_phase(&pe.pre, &mut dev, &mut scratch, 0, len, exec);
         if c > 0 && !pe.imports.is_empty() {
             if let Err(end) = wait_and_apply(&ctx, &mut dev, c - 1, &mut xs) {

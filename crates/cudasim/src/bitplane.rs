@@ -710,6 +710,29 @@ impl BitplaneMemory {
             *w &= !m;
         }
     }
+
+    /// Write the low bits of `values` into lanes `tid0..` of a plane, one
+    /// whole word per 64 lanes; edge words keep their bits outside the
+    /// window.
+    pub(crate) fn set_lanes(&mut self, plane: u32, tid0: usize, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
+        let row = &mut self.bits[plane as usize * self.words..][..self.words];
+        let (head, rest) = values.split_at((64 - tid0 % 64).min(values.len()));
+        let mut t = tid0;
+        for chunk in std::iter::once(head).chain(rest.chunks(64)) {
+            let lo = t % 64;
+            let mut bits = 0u64;
+            for (k, &v) in chunk.iter().enumerate() {
+                bits |= (v & 1) << (lo + k);
+            }
+            let m = (!0u64 >> (64 - chunk.len())) << lo;
+            let w = &mut row[t / 64];
+            *w = (*w & !m) | bits;
+            t += chunk.len();
+        }
+    }
 }
 
 impl DeviceMemory {
@@ -1335,6 +1358,60 @@ mod tests {
         assert_eq!(dev.load(s8(0), 5), 0);
         dev.detach_bitplane();
         assert!(dev.var8.iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn store_row_equals_per_lane_stores() {
+        let layout = BitLayout::compile(&demo_graph(), 6, &roots(), None, &FuseConfig::default());
+        let n = 200;
+        let wide = |bucket, offset| Slot { bucket, offset };
+        let slots = [
+            s8(0),
+            s8(5),
+            s16(0),
+            wide(Bucket::B32, 0),
+            wide(Bucket::B64, 0),
+        ];
+        let value = |t: usize, salt: u64| (t as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let windows = [
+            (0, 200),
+            (0, 64),
+            (64, 128),
+            (37, 134),
+            (70, 75),
+            (130, 130),
+        ];
+        for attach in [false, true] {
+            for (tid0, end) in windows {
+                for slot in slots {
+                    let mut base = DeviceMemory::new(n, 6, 1, 1, 1);
+                    if attach {
+                        base.attach_bitplane(&layout);
+                    }
+                    for s in slots {
+                        for t in 0..n {
+                            base.store(s, t, value(t, 1));
+                        }
+                    }
+                    let values: Vec<u64> = (tid0..end).map(|t| value(t, 2)).collect();
+                    let mut by_lane = base.clone();
+                    for (i, &v) in values.iter().enumerate() {
+                        by_lane.store(slot, tid0 + i, v);
+                    }
+                    let mut by_row = base.clone();
+                    by_row.store_row(slot, tid0, &values);
+                    let what = format!("{slot:?} [{tid0},{end}) attached={attach}");
+                    assert_eq!(by_row.bitplane, by_lane.bitplane, "{what}");
+                    assert_eq!(by_row.var8, by_lane.var8, "{what}");
+                    assert_eq!(by_row.var16, by_lane.var16, "{what}");
+                    assert_eq!(by_row.var32, by_lane.var32, "{what}");
+                    assert_eq!(by_row.var64, by_lane.var64, "{what}");
+                    for t in (0..tid0).chain(end..n) {
+                        assert_eq!(by_row.load(slot, t), base.load(slot, t), "{what} lane {t}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

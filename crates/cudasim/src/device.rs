@@ -98,6 +98,40 @@ impl DeviceMemory {
         }
     }
 
+    /// Write lanes `tid0..tid0 + values.len()` of one slot, equal to one
+    /// [`DeviceMemory::store`] per lane: a copy into the bucket row, or on
+    /// an attached plane 64 lanes per word, edge words merged under the
+    /// window mask so no lane outside it changes.
+    pub fn store_row(&mut self, slot: Slot, tid0: usize, values: &[u64]) {
+        // Past `n` a run would spill into the next slot's row.
+        assert!(
+            tid0 + values.len() <= self.n,
+            "lanes [{tid0}, {tid0}+{}) outside a {}-lane device",
+            values.len(),
+            self.n
+        );
+        let at = slot.offset as usize * self.n + tid0;
+        fn copy<T>(row: &mut [T], values: &[u64], cast: impl Fn(u64) -> T) {
+            for (d, &v) in row[..values.len()].iter_mut().zip(values) {
+                *d = cast(v);
+            }
+        }
+        match slot.bucket {
+            Bucket::B8 => {
+                if let Some(bp) = &mut self.bitplane {
+                    if let Some(p) = bp.plane_for(slot.offset) {
+                        bp.set_lanes(p, tid0, values);
+                        return;
+                    }
+                }
+                copy(&mut self.var8[at..], values, |v| v as u8)
+            }
+            Bucket::B16 => copy(&mut self.var16[at..], values, |v| v as u16),
+            Bucket::B32 => copy(&mut self.var32[at..], values, |v| v as u32),
+            Bucket::B64 => self.var64[at..at + values.len()].copy_from_slice(values),
+        }
+    }
+
     /// Elements allocated in `bucket` (per stimulus).
     #[inline(always)]
     pub fn bucket_len(&self, bucket: Bucket) -> usize {

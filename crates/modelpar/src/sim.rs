@@ -53,12 +53,13 @@ pub fn simulate_modelpar(
     let n = source.num_stimulus();
     let group_size = group_size.max(1);
     let mut digests = vec![0u64; n];
-    let mut frame = vec![0u64; lanes];
+    let mut cols = Vec::new();
     let mut scratch = Scratch::new();
 
     let mut tid0 = 0usize;
     while tid0 < n {
         let len = group_size.min(n - tid0);
+        cols.resize(lanes * len, 0);
         let mut devs: Vec<_> = engines
             .iter()
             .map(|e| e.program.plan.alloc_device(len))
@@ -67,13 +68,11 @@ pub fn simulate_modelpar(
         let mut in_flight: Vec<Option<Vec<u8>>> = vec![None; k];
 
         for c in 0..cycles {
+            // One fill per (group, cycle), shared by every part.
+            source.fill_columns(c, tid0, len, len, &mut cols);
             for (e, dev) in engines.iter().zip(devs.iter_mut()) {
-                for s in 0..len {
-                    source.fill_frame(tid0 + s, c, &mut frame);
-                    for (j, &lv) in e.sub.parent_inputs.iter().enumerate() {
-                        e.program.plan.poke(dev, lv, s, map.mask(j, frame[j]));
-                    }
-                }
+                let vars = e.sub.parent_inputs.iter().copied();
+                e.program.plan.poke_columns(dev, vars, &mut cols, len);
             }
             for (e, dev) in engines.iter().zip(devs.iter_mut()) {
                 e.run_phase(&e.pre, dev, &mut scratch, 0, len, exec);

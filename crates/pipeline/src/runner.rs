@@ -42,7 +42,8 @@ pub struct GroupRunner<'p> {
     exec: ExecConfig,
     dev: DeviceMemory,
     scratch: Scratch,
-    frame: Vec<u64>,
+    /// Port columns of the cycle being poked, `ports × len`, reused.
+    cols: Vec<u64>,
     cycle: u64,
     scalar_ops: u64,
 }
@@ -54,7 +55,7 @@ impl<'p> GroupRunner<'p> {
             exec,
             dev: program.plan.alloc_device(len),
             scratch: Scratch::new(),
-            frame: Vec::new(),
+            cols: Vec::new(),
             cycle: 0,
             scalar_ops: 0,
         }
@@ -77,32 +78,31 @@ impl<'p> GroupRunner<'p> {
     }
 
     /// Set this cycle's inputs from `source`, whose stimulus `tid0 + i`
-    /// drives lane `i`.
+    /// drives lane `i`: one `fill_columns` for the whole group, then one
+    /// row store per port.
     pub fn poke_source(&mut self, map: &PortMap, source: &dyn StimulusSource, tid0: usize) {
+        let n = self.dev.n();
+        self.cols.resize(map.len() * n, 0);
+        source.fill_columns(self.cycle, tid0, n, n, &mut self.cols);
+        let vars = map.ports.iter().map(|p| p.var);
         let plan = &self.program.plan;
-        self.frame.resize(map.len(), 0);
-        for i in 0..self.dev.n() {
-            source.fill_frame(tid0 + i, self.cycle, &mut self.frame);
-            for (port, &value) in map.ports.iter().zip(&self.frame) {
-                plan.poke(&mut self.dev, port.var, i, value);
-            }
-        }
+        plan.poke_columns(&mut self.dev, vars, &mut self.cols, n);
     }
 
     /// Set this cycle's inputs from a materialized frame block laid out
     /// `[stimulus][cycle][lane]` over `cycles` cycles (the wire layout of
     /// a group dispatch).
     pub fn poke_frames(&mut self, map: &PortMap, block: &[u64], cycles: u64) {
+        let vars = map.ports.iter().map(|p| p.var);
         let plan = &self.program.plan;
-        let lanes = map.len();
-        let stride = cycles as usize * lanes;
-        let at = self.cycle as usize * lanes;
-        for i in 0..self.dev.n() {
-            let frame = &block[i * stride + at..][..lanes];
-            for (port, &value) in map.ports.iter().zip(frame) {
-                plan.poke(&mut self.dev, port.var, i, value);
-            }
-        }
+        plan.poke_block(
+            &mut self.dev,
+            vars,
+            block,
+            cycles,
+            self.cycle,
+            &mut self.cols,
+        );
     }
 
     /// Evaluate one cycle over the inputs just poked.
@@ -152,7 +152,11 @@ mod tests {
     use designs::Benchmark;
 
     fn setup() -> (Design, KernelProgram, PortMap) {
-        let design = Benchmark::RiscvMini.elaborate().unwrap();
+        setup_for(Benchmark::RiscvMini)
+    }
+
+    fn setup_for(b: Benchmark) -> (Design, KernelProgram, PortMap) {
+        let design = b.elaborate().unwrap();
         let (program, _) = crate::prepare(&design, &GpuModel::default()).unwrap();
         let map = PortMap::from_design(&design);
         (design, program, map)
@@ -206,27 +210,118 @@ mod tests {
         );
     }
 
+    /// Both poke paths against the scalar oracle poked one lane at a
+    /// time. Handshake runs over bit planes, so its 1-bit ports take the
+    /// packed-word store; riscv-mini has none.
     #[test]
     fn source_and_frame_block_inputs_agree() {
-        let (design, program, map) = setup();
-        let (tid0, len, cycles) = (3usize, 5usize, 12u64);
-        let src = stimulus::RiscvSource::new(&map, tid0 + len, 0x51);
-        let lanes = map.len();
-        let mut block = vec![0u64; len * cycles as usize * lanes];
-        for i in 0..len {
-            for c in 0..cycles {
-                let base = (i * cycles as usize + c as usize) * lanes;
-                src.fill_frame(tid0 + i, c, &mut block[base..base + lanes]);
+        let cycles = 12u64;
+        for (bench, lens) in [
+            (Benchmark::RiscvMini, &[5usize][..]),
+            (Benchmark::Handshake, &[1, 63, 64, 65, 257][..]),
+        ] {
+            let (design, program, map) = setup_for(bench);
+            let lanes = map.len();
+            for &len in lens {
+                let tid0 = 3usize;
+                let src = stimulus::RandomSource::new(&map, tid0 + len, 0x51);
+                let mut block = vec![0u64; len * cycles as usize * lanes];
+                for i in 0..len {
+                    for c in 0..cycles {
+                        let base = (i * cycles as usize + c as usize) * lanes;
+                        src.fill_frame(tid0 + i, c, &mut block[base..base + lanes]);
+                    }
+                }
+                let mut by_lane = GroupRunner::new(&program, ExecConfig::scalar(), len);
+                let mut frame = vec![0u64; lanes];
+                for c in 0..cycles {
+                    for i in 0..len {
+                        src.fill_frame(tid0 + i, c, &mut frame);
+                        for (port, &v) in map.ports.iter().zip(&frame) {
+                            program.plan.poke(&mut by_lane.dev, port.var, i, v);
+                        }
+                    }
+                    by_lane.step();
+                }
+                let golden = by_lane.digests(&design);
+                let mut by_source = GroupRunner::new(&program, ExecConfig::default(), len);
+                run_to(&mut by_source, &map, &src, tid0, cycles);
+                let mut by_block = GroupRunner::new(&program, ExecConfig::default(), len);
+                for _ in 0..cycles {
+                    by_block.poke_frames(&map, &block, cycles);
+                    by_block.step();
+                }
+                let what = format!("{bench:?} at len {len}");
+                assert_eq!(by_source.digests(&design), golden, "source, {what}");
+                assert_eq!(by_block.digests(&design), golden, "block, {what}");
             }
         }
-        let mut by_source = GroupRunner::new(&program, ExecConfig::default(), len);
-        run_to(&mut by_source, &map, &src, tid0, cycles);
-        let mut by_block = GroupRunner::new(&program, ExecConfig::default(), len);
-        for _ in 0..cycles {
-            by_block.poke_frames(&map, &block, cycles);
-            by_block.step();
+    }
+
+    /// A row-only source, like a tracing decorator: records every
+    /// `fill_frame` call and implements nothing else.
+    struct Rows {
+        inner: stimulus::RandomSource,
+        frames: std::sync::Mutex<Vec<(usize, u64)>>,
+    }
+
+    impl StimulusSource for Rows {
+        fn num_stimulus(&self) -> usize {
+            self.inner.num_stimulus()
         }
-        assert_eq!(by_block.digests(&design), by_source.digests(&design));
+        fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
+            self.frames.lock().unwrap().push((stimulus, cycle));
+            self.inner.fill_frame(stimulus, cycle, frame)
+        }
+        fn num_ports(&self) -> usize {
+            self.inner.num_ports()
+        }
+    }
+
+    /// The same source with a `fill_columns` of its own.
+    struct Columns(Rows);
+
+    impl StimulusSource for Columns {
+        fn num_stimulus(&self) -> usize {
+            self.0.num_stimulus()
+        }
+        fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
+            self.0.fill_frame(stimulus, cycle, frame)
+        }
+        fn num_ports(&self) -> usize {
+            self.0.num_ports()
+        }
+        fn fill_columns(
+            &self,
+            cycle: u64,
+            tid0: usize,
+            len: usize,
+            stride: usize,
+            cols: &mut [u64],
+        ) {
+            self.0.inner.fill_columns(cycle, tid0, len, stride, cols)
+        }
+    }
+
+    #[test]
+    fn runner_fills_rows_once_in_order_and_columns_without_rows() {
+        let (design, program, map) = setup_for(Benchmark::Handshake);
+        let (tid0, len, cycles) = (4usize, 70usize, 5u64);
+        let rows = |seed| Rows {
+            inner: stimulus::RandomSource::new(&map, tid0 + len, seed),
+            frames: Default::default(),
+        };
+        let (by_frame, by_column) = (rows(7), Columns(rows(7)));
+        let mut r1 = GroupRunner::new(&program, ExecConfig::default(), len);
+        run_to(&mut r1, &map, &std::sync::Arc::new(&by_frame), tid0, cycles);
+        let mut r2 = GroupRunner::new(&program, ExecConfig::default(), len);
+        run_to(&mut r2, &map, &Box::new(&by_column), tid0, cycles);
+        let expect: Vec<(usize, u64)> = (0..cycles)
+            .flat_map(|c| (tid0..tid0 + len).map(move |s| (s, c)))
+            .collect();
+        assert_eq!(*by_frame.frames.lock().unwrap(), expect);
+        assert!(by_column.0.frames.lock().unwrap().is_empty());
+        assert_eq!(r1.digests(&design), r2.digests(&design));
     }
 
     #[test]

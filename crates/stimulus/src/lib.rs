@@ -8,7 +8,13 @@
 //! * [`PortMap`] — the ordered list of driven input ports of a design.
 //! * [`StimulusSource`] — deterministic O(1)-random-access generators
 //!   (every engine can ask "port values of stimulus `s` at cycle `c`"
-//!   without materializing terabytes of vectors).
+//!   without materializing terabytes of vectors). A source answers in two
+//!   shapes: a frame (`fill_frame`, one stimulus's ports, what the golden
+//!   interpreter pokes) or port columns (`fill_columns`, one port over a
+//!   run of stimuli, what a group runner stores into a device row or bit
+//!   plane). `fill_columns` defaults to a transpose of `fill_frame` that
+//!   calls it once per stimulus in ascending order; the generated sources
+//!   override it to hash each column's `(cycle, port)` key once.
 //! * Concrete sources: [`RandomSource`], [`RiscvSource`] (constrained
 //!   instruction streams), [`NvdlaSource`] (configure-then-stream
 //!   protocol), and [`ConcatSource`] (the paper's "randomly concatenating
@@ -90,12 +96,7 @@ impl PortMap {
 
     /// Mask a raw 64-bit lane value to a port's width.
     pub fn mask(&self, port: usize, value: u64) -> u64 {
-        let w = self.ports[port].width;
-        if w >= 64 {
-            value
-        } else {
-            value & ((1u64 << w) - 1)
-        }
+        value & width_mask(self.ports[port].width)
     }
 }
 
@@ -114,43 +115,56 @@ pub trait StimulusSource: Send + Sync {
 
     /// Frame width in lanes.
     fn num_ports(&self) -> usize;
-}
 
-impl<T: StimulusSource + ?Sized> StimulusSource for &T {
-    fn num_stimulus(&self) -> usize {
-        (**self).num_stimulus()
-    }
-    fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
-        (**self).fill_frame(stimulus, cycle, frame)
-    }
-    fn num_ports(&self) -> usize {
-        (**self).num_ports()
-    }
-}
-
-impl<T: StimulusSource + ?Sized> StimulusSource for Box<T> {
-    fn num_stimulus(&self) -> usize {
-        (**self).num_stimulus()
-    }
-    fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
-        (**self).fill_frame(stimulus, cycle, frame)
-    }
-    fn num_ports(&self) -> usize {
-        (**self).num_ports()
+    /// Fill port columns for stimuli `tid0..tid0 + len` at `cycle`: port
+    /// `p` of stimulus `tid0 + i` goes to `cols[p * stride + i]`
+    /// (`stride >= len`, and `cols` holds at least
+    /// `(num_ports - 1) * stride + len` values). Bit-identical to
+    /// transposing `fill_frame`.
+    ///
+    /// The default body is that transpose. It calls `fill_frame` exactly
+    /// once per stimulus, in ascending order, so a decorator that only
+    /// implements `fill_frame` still sees every (stimulus, cycle) once and
+    /// a driver's first and last fill stay where they were.
+    fn fill_columns(&self, cycle: u64, tid0: usize, len: usize, stride: usize, cols: &mut [u64]) {
+        debug_assert!(stride >= len);
+        let mut frame = vec![0u64; self.num_ports()];
+        for i in 0..len {
+            self.fill_frame(tid0 + i, cycle, &mut frame);
+            for (p, &v) in frame.iter().enumerate() {
+                cols[p * stride + i] = v;
+            }
+        }
     }
 }
 
-impl<T: StimulusSource + ?Sized> StimulusSource for std::sync::Arc<T> {
-    fn num_stimulus(&self) -> usize {
-        (**self).num_stimulus()
-    }
-    fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
-        (**self).fill_frame(stimulus, cycle, frame)
-    }
-    fn num_ports(&self) -> usize {
-        (**self).num_ports()
-    }
+macro_rules! forward_source {
+    ($($ty:ty),*) => {$(
+        impl<T: StimulusSource + ?Sized> StimulusSource for $ty {
+            fn num_stimulus(&self) -> usize {
+                (**self).num_stimulus()
+            }
+            fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
+                (**self).fill_frame(stimulus, cycle, frame)
+            }
+            fn num_ports(&self) -> usize {
+                (**self).num_ports()
+            }
+            fn fill_columns(
+                &self,
+                cycle: u64,
+                tid0: usize,
+                len: usize,
+                stride: usize,
+                cols: &mut [u64],
+            ) {
+                (**self).fill_columns(cycle, tid0, len, stride, cols)
+            }
+        }
+    )*};
 }
+
+forward_source!(&T, Box<T>, std::sync::Arc<T>);
 
 /// SplitMix64 — the deterministic hash behind all random sources.
 #[inline]
@@ -164,7 +178,38 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Hash a (seed, stimulus, cycle, lane) coordinate to a u64.
 #[inline]
 pub fn coord_hash(seed: u64, stimulus: u64, cycle: u64, lane: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(stimulus ^ splitmix64(cycle ^ splitmix64(lane))))
+    hash_column(seed, stimulus, column_key(cycle, lane))
+}
+
+/// The (cycle, lane) half of [`coord_hash`], shared by a whole column.
+#[inline]
+fn column_key(cycle: u64, lane: u64) -> u64 {
+    splitmix64(cycle ^ splitmix64(lane))
+}
+
+/// The (seed, stimulus) half of [`coord_hash`] over a [`column_key`].
+#[inline]
+fn hash_column(seed: u64, stimulus: u64, key: u64) -> u64 {
+    splitmix64(seed ^ splitmix64(stimulus ^ key))
+}
+
+/// `col[i] = f(coord_hash(seed, tid0 + i, cycle, lane))`, with the
+/// column's `key = column_key(cycle, lane)` hashed once by the caller.
+#[inline]
+fn hash_into(col: &mut [u64], seed: u64, tid0: usize, key: u64, f: impl Fn(u64) -> u64) {
+    for (i, out) in col.iter_mut().enumerate() {
+        *out = f(hash_column(seed, (tid0 + i) as u64, key));
+    }
+}
+
+/// Mask with the low `width` bits set (`width >= 64` keeps everything).
+#[inline]
+fn width_mask(width: u32) -> u64 {
+    if width >= 64 {
+        !0
+    } else {
+        (1u64 << width) - 1
+    }
 }
 
 /// Pure-random stimulus with a per-port reset protocol: `rst`-like ports
@@ -211,18 +256,27 @@ impl StimulusSource for RandomSource {
             if *is_reset {
                 *out = (cycle < self.reset_cycles) as u64;
             } else {
-                let raw = coord_hash(self.seed, stimulus as u64, cycle, lane as u64);
-                *out = if *width >= 64 {
-                    raw
-                } else {
-                    raw & ((1u64 << width) - 1)
-                };
+                *out =
+                    coord_hash(self.seed, stimulus as u64, cycle, lane as u64) & width_mask(*width);
             }
         }
     }
 
     fn num_ports(&self) -> usize {
         self.ports.len()
+    }
+
+    fn fill_columns(&self, cycle: u64, tid0: usize, len: usize, stride: usize, cols: &mut [u64]) {
+        debug_assert!(stride >= len);
+        for (lane, &(width, is_reset)) in self.ports.iter().enumerate() {
+            let col = &mut cols[lane * stride..][..len];
+            if is_reset {
+                col.fill((cycle < self.reset_cycles) as u64);
+            } else {
+                let (key, m) = (column_key(cycle, lane as u64), width_mask(width));
+                hash_into(col, self.seed, tid0, key, |h| h & m);
+            }
+        }
     }
 }
 
@@ -316,12 +370,7 @@ impl StimulusSource for RiscvSource {
     fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
         for (lane, out) in frame.iter_mut().enumerate() {
             let raw = coord_hash(self.seed, stimulus as u64, cycle, lane as u64);
-            let w = self.ports[lane];
-            *out = if w >= 64 {
-                raw
-            } else {
-                raw & ((1u64 << w) - 1)
-            };
+            *out = raw & width_mask(self.ports[lane]);
         }
         frame[self.instr_lane] =
             Self::instruction(coord_hash(self.seed, stimulus as u64, cycle, 0xfeed)) as u64;
@@ -332,6 +381,24 @@ impl StimulusSource for RiscvSource {
 
     fn num_ports(&self) -> usize {
         self.ports.len()
+    }
+
+    /// Computes only the value `fill_frame` leaves in each lane: `rst`
+    /// over `instr` over the hashed default.
+    fn fill_columns(&self, cycle: u64, tid0: usize, len: usize, stride: usize, cols: &mut [u64]) {
+        debug_assert!(stride >= len);
+        for (lane, &width) in self.ports.iter().enumerate() {
+            let col = &mut cols[lane * stride..][..len];
+            if Some(lane) == self.rst_lane {
+                col.fill((cycle < self.reset_cycles) as u64);
+            } else if lane == self.instr_lane {
+                let key = column_key(cycle, 0xfeed);
+                hash_into(col, self.seed, tid0, key, |h| Self::instruction(h) as u64);
+            } else {
+                let (key, m) = (column_key(cycle, lane as u64), width_mask(width));
+                hash_into(col, self.seed, tid0, key, |h| h & m);
+            }
+        }
     }
 }
 
@@ -412,10 +479,8 @@ impl StimulusSource for NvdlaSource {
             frame[l.clear] = 1;
             frame[l.start] = 0;
         }
-        for (lane, w) in self.ports.iter().enumerate() {
-            if *w < 64 {
-                frame[lane] &= (1u64 << w) - 1;
-            }
+        for (v, &w) in frame.iter_mut().zip(&self.ports) {
+            *v &= width_mask(w);
         }
     }
 
@@ -514,6 +579,10 @@ pub struct ConcatSource<S> {
 impl<S: StimulusSource> ConcatSource<S> {
     pub fn new(base: S, num_stimulus: usize, segment_len: u64, seed: u64) -> Self {
         assert!(segment_len > 0);
+        assert!(
+            base.num_stimulus() > 0,
+            "concat source needs a non-empty base"
+        );
         ConcatSource {
             base,
             num_stimulus,
@@ -602,6 +671,16 @@ impl<S: StimulusSource> StimulusSource for SliceSource<S> {
     fn num_ports(&self) -> usize {
         self.base.num_ports()
     }
+
+    fn fill_columns(&self, cycle: u64, tid0: usize, len: usize, stride: usize, cols: &mut [u64]) {
+        assert!(
+            tid0 + len <= self.len,
+            "stimuli [{tid0}, {tid0}+{len}) outside slice of {}",
+            self.len
+        );
+        self.base
+            .fill_columns(cycle, self.offset + tid0, len, stride, cols)
+    }
 }
 
 /// Several sources stacked into one contiguous batch: segment `j`'s
@@ -671,6 +750,20 @@ impl<S: StimulusSource> StimulusSource for StackedSource<S> {
 
     fn num_ports(&self) -> usize {
         self.lanes
+    }
+
+    /// Each segment fills its share of the window, in segment order, into
+    /// the columns at that share's offset; empty shares are skipped.
+    fn fill_columns(&self, cycle: u64, tid0: usize, len: usize, stride: usize, cols: &mut [u64]) {
+        let end = tid0 + len;
+        for (j, seg) in self.segments.iter().enumerate() {
+            let lo = tid0.max(self.prefix[j]);
+            let hi = end.min(self.prefix[j + 1]);
+            if lo < hi {
+                let sub = cols.get_mut(lo - tid0..).unwrap_or_default();
+                seg.fill_columns(cycle, lo - self.prefix[j], hi - lo, stride, sub);
+            }
+        }
     }
 }
 
@@ -884,6 +977,127 @@ mod tests {
         let (_, m) = map_for(Benchmark::RiscvMini);
         let base = RandomSource::new(&m, 8, 1);
         let _ = SliceSource::new(base, 4, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty base")]
+    fn concat_source_rejects_empty_base() {
+        let (_, m) = map_for(Benchmark::RiscvMini);
+        let _ = ConcatSource::new(RandomSource::new(&m, 0, 1), 8, 4, 2);
+    }
+
+    /// `fill_columns` over `(cycle, tid0, len, stride)` must equal the
+    /// transposed `fill_frame` rows, and leave the gap past `len` in
+    /// every column untouched.
+    fn assert_columns_match_frames(src: &dyn StimulusSource, what: &str) {
+        let ports = src.num_ports();
+        let n = src.num_stimulus();
+        let mut rng = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            rng = splitmix64(rng);
+            (rng % bound.max(1) as u64) as usize
+        };
+        let mut frame = vec![0u64; ports];
+        for _ in 0..24 {
+            let cycle = next(40) as u64;
+            let tid0 = next(n + 1);
+            let len = next(n - tid0 + 1);
+            let stride = (len + next(5)).max(1);
+            const GAP: u64 = 0xdead_beef;
+            let mut cols = vec![GAP; ports * stride];
+            src.fill_columns(cycle, tid0, len, stride, &mut cols);
+            for (p, col) in cols.chunks(stride).enumerate() {
+                assert!(col[len..].iter().all(|&v| v == GAP), "{what}: gap written");
+                for (i, &v) in col[..len].iter().enumerate() {
+                    src.fill_frame(tid0 + i, cycle, &mut frame);
+                    assert_eq!(
+                        v,
+                        frame[p],
+                        "{what}: port {p} of stimulus {} at cycle {cycle}",
+                        tid0 + i
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_source_fills_columns_as_transposed_frames() {
+        let (_, rv_map) = map_for(Benchmark::RiscvMini);
+        let (_, nv_map) = map_for(Benchmark::Nvdla(designs::NvdlaScale::Tiny));
+        let (_, hs_map) = map_for(Benchmark::Handshake);
+        let random = RandomSource::new(&hs_map, 70, 3);
+        let riscv = RiscvSource::new(&rv_map, 70, 4);
+        let nvdla = NvdlaSource::new(&nv_map, 40, 5);
+        let base = vec![vec![0u64; rv_map.len()]; 6];
+        let directed = DirectedSource::perturbed(&rv_map, base, 1, 30, 6);
+        let widths: Vec<u32> = rv_map.ports.iter().map(|p| p.width).collect();
+        let file = file::FileSource::new(file::BatchFile::record(&riscv, &widths, 16)).unwrap();
+        let concat = ConcatSource::new(RandomSource::new(&rv_map, 5, 7), 33, 8, 8);
+        let slice = SliceSource::new(RiscvSource::new(&rv_map, 90, 9), 17, 50);
+        let stacked: StackedSource<Box<dyn StimulusSource>> = StackedSource::new(vec![
+            Box::new(RandomSource::new(&rv_map, 0, 10)),
+            Box::new(RiscvSource::new(&rv_map, 37, 11)),
+            Box::new(RandomSource::new(&rv_map, 0, 12)),
+            Box::new(RandomSource::new(&rv_map, 64, 13)),
+            Box::new(SliceSource::new(RiscvSource::new(&rv_map, 9, 14), 2, 5)),
+            Box::new(RandomSource::new(&rv_map, 0, 15)),
+        ]);
+        let sources: [(&dyn StimulusSource, &str); 8] = [
+            (&random, "random"),
+            (&riscv, "riscv"),
+            (&nvdla, "nvdla"),
+            (&directed, "directed"),
+            (&file, "file"),
+            (&concat, "concat"),
+            (&slice, "slice"),
+            (&stacked, "stacked"),
+        ];
+        for (src, what) in sources {
+            assert_columns_match_frames(src, what);
+            assert_columns_match_frames(&&src, &format!("&{what}"));
+            assert_columns_match_frames(&Box::new(src), &format!("Box<{what}>"));
+            assert_columns_match_frames(&std::sync::Arc::new(src), &format!("Arc<{what}>"));
+        }
+    }
+
+    /// Counts `fill_frame` calls and records their order; implements
+    /// nothing else, like a tracing decorator.
+    struct RowOnly {
+        inner: RandomSource,
+        calls: std::sync::Mutex<Vec<(usize, u64)>>,
+    }
+
+    impl StimulusSource for RowOnly {
+        fn num_stimulus(&self) -> usize {
+            self.inner.num_stimulus()
+        }
+        fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
+            self.calls.lock().unwrap().push((stimulus, cycle));
+            self.inner.fill_frame(stimulus, cycle, frame)
+        }
+        fn num_ports(&self) -> usize {
+            self.inner.num_ports()
+        }
+    }
+
+    #[test]
+    fn default_columns_fill_each_frame_once_in_ascending_order_through_wrappers() {
+        let (_, m) = map_for(Benchmark::Handshake);
+        let row = RowOnly {
+            inner: RandomSource::new(&m, 20, 1),
+            calls: Default::default(),
+        };
+        let stacked = StackedSource::new(vec![
+            Box::new(std::sync::Arc::new(&row)) as Box<dyn StimulusSource>,
+            Box::new(RandomSource::new(&m, 0, 2)),
+            Box::new(std::sync::Arc::new(&row)),
+        ]);
+        let mut cols = vec![0u64; m.len() * 40];
+        stacked.fill_columns(3, 5, 30, 40, &mut cols);
+        let seen = row.calls.lock().unwrap().clone();
+        let expect: Vec<(usize, u64)> = (5..20).chain(0..15).map(|s| (s, 3)).collect();
+        assert_eq!(seen, expect);
     }
 
     #[test]

@@ -125,6 +125,67 @@ impl MemoryPlan {
         dev.store(vs.slot, tid, value & m);
     }
 
+    /// Write a scalar variable for stimuli `tid0..tid0 + values.len()`,
+    /// equal to one [`MemoryPlan::poke`] per lane. `values` is masked to
+    /// the variable's width in place.
+    pub fn poke_row(&self, dev: &mut DeviceMemory, var: VarId, tid0: usize, values: &mut [u64]) {
+        let vs = &self.slots[var];
+        debug_assert_eq!(vs.depth, 0, "poke on memory");
+        let m = cudasim::device::mask(vs.width);
+        if m != !0 {
+            for v in values.iter_mut() {
+                *v &= m;
+            }
+        }
+        dev.store_row(vs.slot, tid0, values);
+    }
+
+    /// Poke port columns into lanes `0..len`: column `p` of `cols`
+    /// (`cols[p * len..][..len]`) drives the `p`-th variable of `vars`.
+    pub fn poke_columns(
+        &self,
+        dev: &mut DeviceMemory,
+        vars: impl IntoIterator<Item = VarId>,
+        cols: &mut [u64],
+        len: usize,
+    ) {
+        if len == 0 {
+            return;
+        }
+        for (var, col) in vars.into_iter().zip(cols.chunks_exact_mut(len)) {
+            self.poke_row(dev, var, 0, col);
+        }
+    }
+
+    /// Poke cycle `cycle` of a frame block laid out `[stimulus][cycle][port]`
+    /// over `cycles` cycles (the wire layout of a group dispatch), stimulus
+    /// `i` of the block into lane `i`, gathering one port column at a time
+    /// through `col`. `vars` lists the variable each port drives, in port
+    /// order.
+    pub fn poke_block(
+        &self,
+        dev: &mut DeviceMemory,
+        vars: impl ExactSizeIterator<Item = VarId>,
+        block: &[u64],
+        cycles: u64,
+        cycle: u64,
+        col: &mut Vec<u64>,
+    ) {
+        let ports = vars.len();
+        let stride = cycles as usize * ports;
+        if stride == 0 {
+            return;
+        }
+        col.resize(block.len() / stride, 0);
+        let at = cycle as usize * ports;
+        for (p, var) in vars.enumerate() {
+            for (v, &f) in col.iter_mut().zip(block[at + p..].iter().step_by(stride)) {
+                *v = f;
+            }
+            self.poke_row(dev, var, 0, col);
+        }
+    }
+
     /// Read a scalar variable for one stimulus.
     pub fn peek(&self, dev: &DeviceMemory, var: VarId, tid: usize) -> u64 {
         let vs = &self.slots[var];
