@@ -126,6 +126,7 @@ struct MetricsAcc {
     boundary_frames: u64,
     overlap_hidden_ns: u64,
     exchange_stall_ns: u64,
+    phase_compute_ns: u64,
     busy: Duration,
 }
 
@@ -357,6 +358,7 @@ impl Controller {
             boundary_frames: m.boundary_frames,
             overlap_hidden_ns: m.overlap_hidden_ns,
             exchange_stall_ns: m.exchange_stall_ns,
+            phase_compute_ns: m.phase_compute_ns,
             busy: m.busy,
         }
     }

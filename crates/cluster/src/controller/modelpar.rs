@@ -431,6 +431,7 @@ impl Controller {
             for r in &results {
                 m.overlap_hidden_ns += r.hidden_ns;
                 m.exchange_stall_ns += r.stall_ns;
+                m.phase_compute_ns += r.compute_ns;
             }
         }
         Ok(digests)
@@ -587,5 +588,92 @@ impl Controller {
             m.heartbeat_timeouts += 1;
         }
         m.worker(conn.id, conn.capacity).alive = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterConfig;
+    use std::net::TcpListener;
+
+    fn checkpoint(epoch: u32, cycle: u64) -> Frame {
+        Frame::PartCheckpoint(PartCheckpointUpdate {
+            batch: 1,
+            group: 0,
+            part: 0,
+            epoch,
+            tid0: 0,
+            cycle,
+            image: vec![0xc4; 8],
+        })
+    }
+
+    #[test]
+    fn a_doomed_epoch_still_keeps_the_checkpoints_it_reads() {
+        // Force the interleaving a part death produces: part 0's session
+        // is behind on its socket when another part fails the epoch, so
+        // its queued checkpoints are read only after `failed` is up, and
+        // more arrive while the abort is drained. Each must land in the
+        // map, or the rollback restarts from cycle 0.
+        let ctl = Controller::bind("127.0.0.1:0", ClusterConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut worker = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = WorkerConn {
+            id: 1,
+            capacity: 1,
+            stream: listener.accept().unwrap().0,
+        };
+        let desc = BatchDescriptor {
+            batch: 1,
+            design_key: 0,
+            top: String::new(),
+            verilog: String::new(),
+            cycles: 24,
+            lanes: 1,
+            n: 16,
+        };
+        let plan = ModelPlan {
+            k: 2,
+            num_outputs: 0,
+            out_positions: vec![Vec::new(); 2],
+            importers_of: vec![Vec::new(); 2],
+        };
+        let ck = Mutex::new(vec![BTreeMap::new(); 2]);
+        let failed = AtomicBool::new(true);
+        let ctx = GroupCtx {
+            desc: &desc,
+            plan: &plan,
+            group: 0,
+            epoch: 0,
+            len: 16,
+            tid0: 0,
+            writers: Vec::new(),
+            ck: &ck,
+            failed: &failed,
+        };
+
+        write_frame(&mut worker, &checkpoint(0, 4)).unwrap();
+        write_frame(&mut worker, &Frame::Heartbeat { seq: 1 }).unwrap();
+        assert!(matches!(
+            ctl.part_session(0, &mut conn, &ctx),
+            SessionEnd::Bailed
+        ));
+
+        write_frame(&mut worker, &checkpoint(0, 8)).unwrap();
+        // Another epoch's snapshot is still refused.
+        write_frame(&mut worker, &checkpoint(1, 12)).unwrap();
+        let echo = Frame::PartAbort {
+            batch: 1,
+            group: 0,
+            epoch: 0,
+        };
+        write_frame(&mut worker, &echo).unwrap();
+        assert!(ctl.abort_and_drain(0, &mut conn, &ctx));
+
+        let kept: Vec<u64> = lock(&ck)[0].keys().copied().collect();
+        assert_eq!(kept, [4, 8]);
+        assert_eq!(ctl.metrics().checkpoints_received, 2);
+        ctl.shutdown();
     }
 }

@@ -78,6 +78,11 @@ pub struct ClusterMetrics {
     pub overlap_hidden_ns: u64,
     /// Time parts spent stalled waiting for boundary frames (summed ns).
     pub exchange_stall_ns: u64,
+    /// Time parts spent in their `pre`/`mid`/`post` phases (summed ns).
+    /// `overlap_hidden_ns` over this is the share of the compute that ran
+    /// with an exchange in flight; unlike the hidden share of the
+    /// exchange, it does not move with relay latency or poke cost.
+    pub phase_compute_ns: u64,
     /// Wall time spent inside `run_batch` calls.
     pub busy: Duration,
 }
@@ -154,9 +159,11 @@ impl ClusterMetrics {
                 self.boundary_frames,
             ));
             out.push_str(&format!(
-                "  exchange overlap: {:.2} ms hidden, {:.2} ms stalled ({hidden_pct:.1}% hidden)\n",
+                "  exchange overlap: {:.2} ms hidden, {:.2} ms stalled ({hidden_pct:.1}% hidden), \
+                 {:.2} ms phase compute\n",
                 self.overlap_hidden_ns as f64 / 1e6,
                 self.exchange_stall_ns as f64 / 1e6,
+                self.phase_compute_ns as f64 / 1e6,
             ));
         }
         out
@@ -202,6 +209,7 @@ impl ClusterMetrics {
             .field("boundary_frames", self.boundary_frames)
             .field("overlap_hidden_ns", self.overlap_hidden_ns)
             .field("exchange_stall_ns", self.exchange_stall_ns)
+            .field("phase_compute_ns", self.phase_compute_ns)
             .field("busy_ms", self.busy.as_secs_f64() * 1e3)
             .field("mean_utilization", self.mean_utilization())
             .field("workers", Json::Arr(workers))
@@ -258,6 +266,7 @@ mod tests {
             boundary_frames: 32,
             overlap_hidden_ns: 3_000_000,
             exchange_stall_ns: 1_000_000,
+            phase_compute_ns: 5_000_000,
             busy: Duration::from_millis(50),
         }
     }
@@ -279,7 +288,7 @@ mod tests {
         // The model-parallel row reports boundary traffic and overlap.
         assert!(t.contains("2 groups, 1 rollbacks"));
         assert!(t.contains("boundary 2048 B in 32 frames (64 B/cycle/part)"));
-        assert!(t.contains("75.0% hidden"));
+        assert!(t.contains("75.0% hidden), 5.00 ms phase compute"));
     }
 
     #[test]
@@ -294,6 +303,7 @@ mod tests {
         assert!(j.contains("\"boundary_bytes\":2048"));
         assert!(j.contains("\"overlap_hidden_ns\":3000000"));
         assert!(j.contains("\"exchange_stall_ns\":1000000"));
+        assert!(j.contains("\"phase_compute_ns\":5000000"));
         assert!(j.contains("\"workers\":[{"));
     }
 }

@@ -46,8 +46,9 @@ pub const MAGIC: [u8; 4] = *b"RFLC";
 /// `PartCheckpoint`. A v2 decoder rejects every v3 frame with a
 /// structured `BadVersion` error before looking at the kind byte. v4
 /// carries every `u64` array packed at its width class; a v3 decoder
-/// rejects it the same way.
-pub const VERSION: u16 = 4;
+/// rejects it the same way. v5 adds the phase compute time to
+/// `PartDone`.
+pub const VERSION: u16 = 5;
 /// Upper bound on a frame payload (256 MiB), on the wire and unpacked.
 /// A length prefix or an array count beyond this is rejected before any
 /// allocation happens.
@@ -236,10 +237,15 @@ pub struct PartResult {
     /// Final values of the part's owned outputs, output-major:
     /// `outputs[o * len + s]` for owned-output index `o`, local lane `s`.
     pub outputs: Vec<u64>,
-    /// Exchange latency hidden behind `pre`-phase compute (summed ns).
+    /// Exchange latency hidden behind `post`/poke/`pre` compute (summed
+    /// ns): the window from sending this part's export to needing its
+    /// peers'.
     pub hidden_ns: u64,
     /// Time spent blocked waiting for boundary frames (summed ns).
     pub stall_ns: u64,
+    /// Time spent in the `pre`, `mid` and `post` phases (summed ns): the
+    /// compute an exchange can hide behind (v5).
+    pub compute_ns: u64,
 }
 
 /// Worker → controller: a mid-run snapshot of one part's sub-design
@@ -498,6 +504,7 @@ impl Encode for Frame {
                 e.u64s(&r.outputs)?;
                 e.u64(r.hidden_ns);
                 e.u64(r.stall_ns);
+                e.u64(r.compute_ns);
             }
             Frame::PartAbort {
                 batch,
@@ -685,6 +692,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
             outputs: c.u64s()?,
             hidden_ns: c.u64()?,
             stall_ns: c.u64()?,
+            compute_ns: c.u64()?,
         }),
         KIND_PART_ABORT => Frame::PartAbort {
             batch: c.u64()?,
@@ -1083,6 +1091,7 @@ mod tests {
                     outputs: self.u64s(64),
                     hidden_ns: self.next(),
                     stall_ns: self.next(),
+                    compute_ns: self.next(),
                 }),
                 12 => Frame::PartAbort {
                     batch: self.next(),

@@ -830,22 +830,30 @@ fn run_part(
         xs.exchange_start = Some(Instant::now());
     }
     let mut col = Vec::new();
+    // Wall time of the pre/mid/post phases: what `hidden_ns` is judged
+    // against, independent of how long the poke or the relay takes.
+    let mut compute_ns = 0u64;
+    let mut phase = |ph: &[usize], dev: &mut DeviceMemory, scratch: &mut Scratch| {
+        let t = Instant::now();
+        pe.run_phase(ph, dev, scratch, 0, len, exec);
+        compute_ns += t.elapsed().as_nanos() as u64;
+    };
     for c in start_cycle..cycles {
         let vars = pe.sub.parent_inputs.iter().copied();
         let plan = &pe.program.plan;
         plan.poke_block(&mut dev, vars, &p.frames, cycles, c, &mut col);
-        pe.run_phase(&pe.pre, &mut dev, &mut scratch, 0, len, exec);
+        phase(&pe.pre, &mut dev, &mut scratch);
         if c > 0 && !pe.imports.is_empty() {
             if let Err(end) = wait_and_apply(&ctx, &mut dev, c - 1, &mut xs) {
                 return end;
             }
         }
-        pe.run_phase(&pe.mid, &mut dev, &mut scratch, 0, len, exec);
+        phase(&pe.mid, &mut dev, &mut scratch);
         if has_exports {
             sink.send(&boundary(c, pe.extract_exports(&dev, len)));
             xs.exchange_start = Some(Instant::now());
         }
-        pe.run_phase(&pe.post, &mut dev, &mut scratch, 0, len, exec);
+        phase(&pe.post, &mut dev, &mut scratch);
         let completed = c + 1;
         if cfg.checkpoint_interval > 0
             && completed.is_multiple_of(cfg.checkpoint_interval)
@@ -890,6 +898,7 @@ fn run_part(
         outputs,
         hidden_ns: xs.hidden_ns,
         stall_ns: xs.stall_ns,
+        compute_ns,
     }))
 }
 
@@ -1002,6 +1011,91 @@ mod tests {
                 other => break assert_eq!(other, Frame::Goodbye),
             }
         }
+    }
+
+    /// Read frames until one `want` accepts, failing on EOF (a panicked
+    /// worker drops its socket) or on an `Error` reply.
+    fn read_until(far: &mut TcpStream, want: impl Fn(&Frame) -> bool) -> Frame {
+        loop {
+            let frame = read_frame(far).expect("worker still connected").0;
+            assert!(!matches!(frame, Frame::Error { .. }), "{frame:?}");
+            if want(&frame) {
+                return frame;
+            }
+        }
+    }
+
+    #[test]
+    fn empty_group_and_empty_part_dispatches_do_not_panic_the_worker() {
+        // Play the controller by hand: a zero-length dispatch passes the
+        // frame-count check (0 == 0 words) with two or more ports and
+        // several cycles, so the column gather must cope with no lanes.
+        let b = designs::Benchmark::Handshake;
+        let design = netlist::load_design(&b.source(), b.top()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker = spawn_worker(
+            listener.local_addr().unwrap(),
+            WorkerConfig {
+                reconnect: false,
+                ..WorkerConfig::default()
+            },
+        );
+        let (mut far, _) = listener.accept().unwrap();
+        assert!(matches!(
+            read_frame(&mut far).unwrap().0,
+            Frame::Hello { .. }
+        ));
+        write_frame(&mut far, &Frame::Welcome { worker_id: 1 }).unwrap();
+        let desc = BatchDescriptor {
+            batch: 1,
+            design_key: rtlir::design_hash(&design),
+            top: b.top().to_string(),
+            verilog: b.source(),
+            cycles: 3,
+            lanes: PortMap::from_design(&design).len() as u32,
+            n: 0,
+        };
+        assert!(desc.lanes >= 2);
+        write_frame(&mut far, &Frame::BatchStart(desc)).unwrap();
+
+        let group = crate::wire::GroupDispatch {
+            batch: 1,
+            group: 0,
+            tid0: 0,
+            len: 0,
+            frames: Vec::new(),
+            resume_cycle: 0,
+            resume_image: Vec::new(),
+        };
+        write_frame(&mut far, &Frame::RunGroup(group)).unwrap();
+        let chunk = read_until(&mut far, |f| matches!(f, Frame::Chunk(_)));
+        assert!(matches!(chunk, Frame::Chunk(c) if c.digests.is_empty()));
+
+        let part = PartDispatch {
+            batch: 1,
+            group: 1,
+            part: 0,
+            k: 2,
+            epoch: 0,
+            tid0: 0,
+            len: 0,
+            start_cycle: 0,
+            resume_image: Vec::new(),
+            frames: Vec::new(),
+        };
+        write_frame(&mut far, &Frame::RunPart(part)).unwrap();
+        // Nobody plays part 1, so part 0 may wait on its boundary: abort
+        // the epoch, and the echo proves the worker got that far.
+        let abort = Frame::PartAbort {
+            batch: 1,
+            group: 1,
+            epoch: 0,
+        };
+        write_frame(&mut far, &abort).unwrap();
+        read_until(&mut far, |f| *f == abort);
+
+        write_frame(&mut far, &Frame::Goodbye).unwrap();
+        worker.join().unwrap().unwrap();
     }
 
     #[test]

@@ -173,7 +173,8 @@ impl MemoryPlan {
     ) {
         let ports = vars.len();
         let stride = cycles as usize * ports;
-        if stride == 0 {
+        // An empty block is an empty group (no lanes), not a short one.
+        if stride == 0 || block.is_empty() {
             return;
         }
         col.resize(block.len() / stride, 0);
@@ -309,5 +310,28 @@ mod tests {
         plan.poke(&mut dev, a, 1, 0xfff);
         assert_eq!(plan.peek(&dev, a, 1), 0x3f);
         assert_eq!(plan.peek(&dev, a, 0), 0);
+    }
+
+    #[test]
+    fn poke_block_gathers_ports_and_accepts_an_empty_group() {
+        let src =
+            "module top(input [5:0] a, input b, output [5:0] y); assign y = b ? a : 0; endmodule";
+        let d = rtlir::elaborate(src, "top").unwrap();
+        let plan = MemoryPlan::build(&d).unwrap();
+        let vars = [d.find_var("a").unwrap(), d.find_var("b").unwrap()];
+        let mut col = Vec::new();
+        // Two stimuli, two cycles, two ports: `[stimulus][cycle][port]`.
+        let block = [0x41, 1, 0x7f, 0, 0x02, 0, 0x33, 3];
+        let mut dev = plan.alloc_device(2);
+        plan.poke_block(&mut dev, vars.iter().copied(), &block, 2, 1, &mut col);
+        assert_eq!(plan.peek(&dev, vars[0], 0), 0x3f);
+        assert_eq!(plan.peek(&dev, vars[1], 0), 0);
+        assert_eq!(plan.peek(&dev, vars[0], 1), 0x33);
+        assert_eq!(plan.peek(&dev, vars[1], 1), 1);
+        // A zero-length group carries an empty block for every cycle.
+        let mut empty = plan.alloc_device(0);
+        for cycle in 0..2 {
+            plan.poke_block(&mut empty, vars.iter().copied(), &[], 2, cycle, &mut col);
+        }
     }
 }

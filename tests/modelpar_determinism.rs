@@ -131,6 +131,7 @@ fn loopback_model_parallel_matches_sharded_and_overlaps_exchange() {
     );
     let exchange = m.overlap_hidden_ns + m.exchange_stall_ns;
     assert!(exchange > 0, "exchange timing must be recorded");
+    assert!(m.phase_compute_ns > 0, "phase timing must be recorded");
 }
 
 #[test]
