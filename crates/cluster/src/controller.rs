@@ -68,7 +68,7 @@ impl Default for ClusterConfig {
 }
 
 /// A batch of coalesced jobs run remotely: the flat digests plus each
-/// job's slice (the cluster analogue of `shard::ShardJobResult`).
+/// job's slice.
 #[derive(Debug)]
 pub struct ClusterJobResult {
     pub digests: Vec<u64>,

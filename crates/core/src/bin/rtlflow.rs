@@ -13,7 +13,7 @@
 
 use std::process::exit;
 
-use rtlflow::cli::{benchmark_by_name, csv_list, Args};
+use rtlflow::cli::{benchmark_by_name, checked, csv_list, Args};
 use rtlflow::{fmt_duration, Benchmark, Flow, PipelineConfig, PortMap};
 use transpile::ToggleCoverage;
 
@@ -49,10 +49,11 @@ commands:
   shard-sim   [--benchmark <name>] [-n <stimulus>] [-c <cycles>]
               [--gpus <k1,k2,..>] [--speeds <f1,f2,..>] [--group <size>]
               [--fault-rate <p>] [--fault-seed <u64>] [--functional]
-              [--seed <u64>] [--tuned [auto|off|<dir>]] [--json]
+              [--seed <u64>] [--json]
               Sweep device counts (or one heterogeneous pool via --speeds),
-              reporting measured vs analytically predicted speedup, steal
-              counts, and per-device utilization.
+              reporting scheduled vs analytically predicted speedup, steal
+              counts, and per-device utilization. --functional also runs
+              the batch once for its digests; the schedule is the same.
   serve-sim   [--clients <n>] [--jobs <per-client>] [--designs <k>]
               [--max-batch <n>] [--window-ms <ms>] [--workers <n>]
               [--queue-limit <n>] [--devices <f1,f2,..>] [--seed <u64>]
@@ -110,6 +111,16 @@ fn tuned_policy(args: &Args) -> rtlflow::TunePolicy {
         Some("auto") | None => rtlflow::TunePolicy::Auto,
         Some(dir) => rtlflow::TunePolicy::Dir(dir.into()),
     }
+}
+
+/// A `--speeds`-style list of device speed factors, each positive and
+/// finite.
+fn speed_list(s: &str, flag: &str) -> Vec<f64> {
+    let positive = |v: &f64| v.is_finite() && *v > 0.0;
+    csv_list::<f64>(s, flag)
+        .into_iter()
+        .map(|v| checked(v, flag, "positive and finite", positive))
+        .collect()
 }
 
 /// `--exec <spec>`, or the default engine.
@@ -592,20 +603,24 @@ fn main() {
             use rtlflow::{DevicePool, FaultSpec, HostModel, ShardConfig};
 
             let bench_name = args.get("benchmark").unwrap_or("riscv-mini");
-            let n: usize = args.num("n", 65536);
+            let n = checked(args.num("n", 65536usize), "n", "at least 1", |&n| n >= 1);
             let cycles: u64 = args.num("c", 64);
             let group: usize = args.num("group", 1024);
-            let fault_rate: f64 = args.num("fault-rate", 0.0);
+            let fault_rate = checked(
+                args.num("fault-rate", 0.0),
+                "fault-rate",
+                "in [0, 1]",
+                |p| (0.0..=1.0).contains(p),
+            );
             let fault_seed: u64 = args.num("fault-seed", 1);
             let seed: u64 = args.num("seed", 1);
             let functional = args.has("functional");
             let cfg = ShardConfig {
-                group_size: group.clamp(1, n.max(1)),
+                group_size: group.clamp(1, n),
                 fault: (fault_rate > 0.0).then(|| FaultSpec::with_rate(fault_rate, fault_seed)),
-                tuned: tuned_policy(&args),
-                ..Default::default()
             };
-            let (speeds, gpus) = (args.get("speeds"), args.get("gpus").unwrap_or("1,2,4"));
+            let speeds = args.get("speeds").map(|s| speed_list(s, "speeds"));
+            let gpus = csv_list::<usize>(args.get("gpus").unwrap_or("1,2,4"), "gpus");
             let json = args.has("json");
             args.finish();
 
@@ -615,11 +630,8 @@ fn main() {
             });
             let map = PortMap::from_design(&flow.design);
             let pools: Vec<DevicePool> = match speeds {
-                Some(s) => vec![DevicePool::with_speeds(
-                    flow.model.clone(),
-                    &csv_list::<f64>(s, "speeds"),
-                )],
-                None => csv_list::<usize>(gpus, "gpus")
+                Some(s) => vec![DevicePool::with_speeds(flow.model.clone(), &s)],
+                None => gpus
                     .into_iter()
                     .map(|k| DevicePool::uniform(flow.model.clone(), k.max(1)))
                     .collect(),
@@ -633,16 +645,9 @@ fn main() {
                             eprintln!("error: {e}");
                             exit(1)
                         })
+                        .metrics
                 } else {
-                    rtlflow::model_shard_batch(
-                        &flow.program,
-                        &flow.cuda,
-                        map.len(),
-                        n,
-                        cycles,
-                        &cfg,
-                        pool,
-                    )
+                    rtlflow::model_shard_batch(&flow.cuda, map.len(), n, cycles, &cfg, pool)
                 }
             };
             // Baselines: measured single device, and the analytic static
@@ -685,8 +690,8 @@ fn main() {
                             .field("gpus", *k)
                             .field("speedup", *speedup)
                             .field("model_speedup", *model_speedup)
-                            .field("efficiency", r.metrics.scaling_efficiency(t1))
-                            .field("metrics", r.metrics.to_json())
+                            .field("efficiency", r.scaling_efficiency(t1))
+                            .field("metrics", r.to_json())
                     })
                     .collect();
                 let doc = Json::obj()
@@ -717,14 +722,14 @@ fn main() {
                         fmt_duration(r.makespan),
                         speedup,
                         model_speedup,
-                        r.metrics.scaling_efficiency(t1) * 100.0,
-                        r.metrics.total_steals,
-                        r.metrics.faults_injected,
+                        r.scaling_efficiency(t1) * 100.0,
+                        r.total_steals,
+                        r.faults_injected,
                     );
                 }
                 for (k, r, _, _) in &sweeps {
                     println!("\nper-device ({k} gpu{}):", if *k == 1 { "" } else { "s" });
-                    print!("{}", r.metrics.table());
+                    print!("{}", r.table());
                 }
             }
         }
@@ -741,7 +746,7 @@ fn main() {
                 queue_limit: args.num("queue-limit", 256),
                 workers: args.num("workers", 2),
                 devices: match args.get("devices") {
-                    Some(s) => csv_list::<f64>(s, "devices"),
+                    Some(s) => speed_list(s, "devices"),
                     None => vec![1.0],
                 },
                 tuned: tuned_policy(&args),

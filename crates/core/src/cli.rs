@@ -136,6 +136,35 @@ pub fn csv_list<T: std::str::FromStr>(s: &str, flag: &str) -> Vec<T> {
     list
 }
 
+/// `value` if `valid` accepts it, else the usage error naming `--flag`
+/// and what it `needs`.
+fn try_checked<T: std::fmt::Display>(
+    value: T,
+    flag: &str,
+    needs: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    if valid(&value) {
+        Ok(value)
+    } else {
+        Err(format!("bad value for --{flag}: `{value}` ({needs})"))
+    }
+}
+
+/// [`try_checked`], exiting with a usage error on a value out of range,
+/// like junk does in [`Args::num`].
+pub fn checked<T: std::fmt::Display>(
+    value: T,
+    flag: &str,
+    needs: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    try_checked(value, flag, needs, valid).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
+}
+
 /// Resolve a benchmark name as accepted by `--benchmark`.
 pub fn benchmark_by_name(name: &str) -> Benchmark {
     match name {
@@ -227,6 +256,22 @@ mod tests {
     fn csv_list_trims_and_skips_empties() {
         assert_eq!(csv_list::<usize>("1, 2,,4", "gpus"), vec![1, 2, 4]);
         assert_eq!(csv_list::<f64>("1.5,0.5", "speeds"), vec![1.5, 0.5]);
+    }
+
+    #[test]
+    fn out_of_range_values_are_refused() {
+        let positive = |s: &f64| s.is_finite() && *s > 0.0;
+        assert_eq!(try_checked(0.5, "speeds", "positive", positive), Ok(0.5));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(try_checked(bad, "speeds", "positive", positive).is_err());
+        }
+        assert_eq!(
+            try_checked(2.0, "fault-rate", "in [0, 1]", |p| (0.0..=1.0).contains(p)),
+            Err("bad value for --fault-rate: `2` (in [0, 1])".to_string())
+        );
+        assert!(try_checked(f64::NAN, "fault-rate", "", |p| (0.0..=1.0).contains(p)).is_err());
+        assert!(try_checked(0usize, "n", "at least 1", |&n| n >= 1).is_err());
+        assert_eq!(try_checked(1usize, "n", "at least 1", |&n| n >= 1), Ok(1));
     }
 
     #[test]

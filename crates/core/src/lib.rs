@@ -63,8 +63,8 @@ pub use serve::{
     SimService, SubmitError, TraceConfig, TraceReport,
 };
 pub use shard::{
-    model_shard_batch, shard_batch, shard_batch_jobs, DevicePool, DeviceReport, DeviceSpec,
-    FaultSpec, ShardConfig, ShardJobResult, ShardMetrics, ShardResult,
+    model_shard_batch, DevicePool, DeviceReport, DeviceSpec, FaultSpec, ShardConfig, ShardMetrics,
+    ShardResult,
 };
 pub use stimulus::{PortMap, RandomSource, RiscvSource, SliceSource, StimulusSource};
 pub use transpile::{emit_cpp, emit_cuda, CodeMetrics, KernelProgram, Partition};
@@ -222,8 +222,10 @@ impl Flow {
     }
 
     /// Simulate a batch across a multi-device pool with elastic work
-    /// stealing. Digests are bit-identical to [`Flow::simulate`] for any
-    /// pool shape, speed mix, or injected fault schedule.
+    /// stealing: the functional pass once, with the default engine, then
+    /// the pool's schedule. Digests are bit-identical to
+    /// [`Flow::simulate`] for any pool shape, speed mix, or injected fault
+    /// schedule, and the metrics equal [`model_shard_batch`]'s.
     pub fn simulate_sharded(
         &self,
         source: &dyn StimulusSource,
@@ -232,16 +234,24 @@ impl Flow {
         pool: &DevicePool,
     ) -> Result<ShardResult, String> {
         let map = self.checked_port_map(source)?;
-        Ok(shard_batch(
+        let (digests, _) = pipeline::run_groups(
             &self.design,
             &self.program,
-            &self.cuda,
+            ExecConfig::default(),
             &map,
             source,
             cycles,
+            cfg.group_size,
+        );
+        let metrics = model_shard_batch(
+            &self.cuda,
+            map.len(),
+            source.num_stimulus(),
+            cycles,
             cfg,
             pool,
-        ))
+        );
+        Ok(ShardResult { digests, metrics })
     }
 
     /// Simulate `n` random stimulus for `cycles` cycles (idiomatic source
@@ -366,6 +376,26 @@ mod tests {
         assert!(flow
             .simulate_sharded(&src, 5, &ShardConfig::default(), &pool)
             .is_err());
+    }
+
+    #[test]
+    fn the_functional_pass_never_moves_the_schedule() {
+        let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
+        let map = flow.port_map();
+        let src = RiscvSource::new(&map, 40, 3);
+        let pool = DevicePool::with_speeds(flow.model.clone(), &[1.0, 0.5, 0.25, 1.0]);
+        let mut faults = 0;
+        for group_size in [1, 4, 7, 40] {
+            let cfg = ShardConfig {
+                group_size,
+                fault: Some(FaultSpec::with_rate(0.2, group_size as u64)),
+            };
+            let run = flow.simulate_sharded(&src, 12, &cfg, &pool).unwrap();
+            let model = model_shard_batch(&flow.cuda, map.len(), 40, 12, &cfg, &pool);
+            assert_eq!(run.metrics, model, "group size {group_size}");
+            faults += model.faults_injected;
+        }
+        assert!(faults > 0, "the rate must kill some device");
     }
 
     #[test]

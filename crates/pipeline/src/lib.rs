@@ -9,13 +9,15 @@
 //!
 //! Two halves that share nothing but the group split:
 //!
-//! * [`GroupRunner`] — the functional half: one group's bit-exact
-//!   `set_inputs` / `evaluate` cycle on its own device image. Every
-//!   layer that executes kernels (this crate, `shard`, the cluster
-//!   worker, the probes) steps groups through it.
+//! * [`run_groups`] — the functional half: every group's bit-exact
+//!   `set_inputs` / `evaluate` cycles through a [`GroupRunner`] on its
+//!   own device image. `Flow::simulate`, `Flow::simulate_sharded` and
+//!   serve all run their batches through it; the cluster worker and the
+//!   probes step single groups through the same [`GroupRunner`].
 //! * [`model_batch`] — the virtual clock: discrete-event timing of the
 //!   same groups (CPU thread pool + SM pool + launch costs). Every
-//!   table/figure number comes from here.
+//!   table/figure number comes from here; `shard`'s scheduler is the
+//!   multi-device model over the same [`HostModel::set_inputs`] stage.
 //!
 //! [`simulate_batch`] runs the first, then the second.
 
@@ -26,7 +28,7 @@ pub use runner::{restore_image, GroupRunner, Resume};
 use cudasim::{CudaGraph, ExecConfig, ExecMode, ExecStats, GpuModel, GpuRuntime};
 use desim::{Resource, Time, Trace};
 use rtlir::Design;
-use stimulus::{PortMap, StackedSource, StimulusSource};
+use stimulus::{PortMap, StimulusSource};
 use transpile::KernelProgram;
 
 /// The simulation host (Machine 2: i7-11700, 16 threads).
@@ -65,6 +67,28 @@ impl HostModel {
             lane_ns: 250,
             workers_per_group: 8,
         }
+    }
+
+    /// One group's `set_inputs` for one cycle: `len × input_lanes` lane
+    /// costs split evenly over the group's workers, each slice booked on
+    /// `cpu` no earlier than `ready`. Returns when the last slice ends.
+    pub fn set_inputs(
+        &self,
+        cpu: &mut Resource,
+        trace: &mut Trace,
+        ready: Time,
+        len: usize,
+        input_lanes: usize,
+    ) -> Time {
+        let workers = self.workers_per_group.max(1).min(len);
+        let work = len as u64 * input_lanes as u64 * self.lane_ns;
+        let dur = work.div_ceil(workers as u64).max(1);
+        let mut done = ready;
+        for _ in 0..workers {
+            let (_, end) = cpu.schedule_traced(ready, dur, trace, "set_inputs");
+            done = done.max(end);
+        }
+        done
     }
 }
 
@@ -117,8 +141,8 @@ pub struct SimResult {
 }
 
 /// Run `cycles` of `source` through `program` under `cfg`: every group
-/// functionally, start to finish on its own device image, then the
-/// virtual clock over the same groups.
+/// functionally ([`run_groups`]), then the virtual clock over the same
+/// groups ([`model_batch`]).
 ///
 /// The functional pass comes first and drops each group's image before
 /// the next, so the model's trace is never resident together with a
@@ -135,12 +159,44 @@ pub fn simulate_batch(
     model: &GpuModel,
 ) -> SimResult {
     let n = source.num_stimulus();
-    let (group_size, num_groups) = group_split(cfg, n);
+    let (digests, scalar_ops) = run_groups(
+        design,
+        program,
+        cfg.exec,
+        map,
+        source,
+        cycles,
+        cfg.group_size,
+    );
+    let mut result = model_batch(program, graph, map.len(), n, cycles, cfg, model);
+    result.digests = digests;
+    let steps = (group_split(cfg.group_size, n).1 as u64 * cycles).max(1);
+    result.exec.scalar_ops_per_cycle = scalar_ops as f64 / steps as f64;
+    result
+}
+
+/// The functional pass: every `group_size`-stimulus group of `source`
+/// stepped `cycles` times through a [`GroupRunner`], start to finish on
+/// its own device image, in group order. Returns the per-stimulus output
+/// digests and the scalar ops executed. A group's digests are a pure
+/// function of `(stimulus ids, cycles)`, so any timing model may place
+/// the same groups however it likes.
+pub fn run_groups(
+    design: &Design,
+    program: &KernelProgram,
+    exec: ExecConfig,
+    map: &PortMap,
+    source: &dyn StimulusSource,
+    cycles: u64,
+    group_size: usize,
+) -> (Vec<u64>, u64) {
+    let n = source.num_stimulus();
+    let (group_size, num_groups) = group_split(group_size, n);
     let mut digests = Vec::with_capacity(n);
     let mut scalar_ops = 0u64;
     for g in 0..num_groups {
         let (tid0, len) = group_range(g, group_size, n);
-        let mut runner = GroupRunner::new(program, cfg.exec, len);
+        let mut runner = GroupRunner::new(program, exec, len);
         for _ in 0..cycles {
             runner.poke_source(map, source, tid0);
             runner.step();
@@ -148,48 +204,7 @@ pub fn simulate_batch(
         digests.extend(runner.digests(design));
         scalar_ops += runner.scalar_ops();
     }
-    let mut result = model_batch(program, graph, map.len(), n, cycles, cfg, model);
-    result.digests = digests;
-    let steps = (num_groups as u64 * cycles).max(1);
-    result.exec.scalar_ops_per_cycle = scalar_ops as f64 / steps as f64;
-    result
-}
-
-/// Result of a coalesced multi-job batch run: the shared [`SimResult`]
-/// plus each job's digest range inside `digests`.
-#[derive(Debug)]
-pub struct JobBatchResult {
-    pub sim: SimResult,
-    /// `ranges[j]` is job j's slice of `sim.digests`, in submission order.
-    pub ranges: Vec<std::ops::Range<usize>>,
-}
-
-/// Run several pre-grouped jobs — each bringing its own stimulus source,
-/// seed, and count — as ONE coalesced batch launch over the same DUT.
-///
-/// Invariant (the serving layer's correctness contract): every stimulus
-/// source is a pure function of `(stimulus, cycle)` and each job keeps
-/// its own indices within its segment, so `sim.digests[ranges[j]]` is
-/// bit-identical to running job j alone through [`simulate_batch`].
-/// Coalescing changes only the *timing* (larger SIMT launches amortize
-/// per-launch overhead — the paper's batch-size curve), never the data.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_jobs(
-    design: &Design,
-    program: &KernelProgram,
-    graph: &CudaGraph,
-    map: &PortMap,
-    jobs: Vec<Box<dyn StimulusSource>>,
-    cycles: u64,
-    cfg: &PipelineConfig,
-    model: &GpuModel,
-) -> JobBatchResult {
-    let stacked = StackedSource::new(jobs);
-    let ranges: Vec<_> = (0..stacked.num_segments())
-        .map(|j| stacked.segment_range(j))
-        .collect();
-    let sim = simulate_batch(design, program, graph, map, &stacked, cycles, cfg, model);
-    JobBatchResult { sim, ranges }
+    (digests, scalar_ops)
 }
 
 /// The virtual clock alone: the scheduling model of one batch, with no
@@ -206,7 +221,7 @@ pub fn model_batch(
     cfg: &PipelineConfig,
     model: &GpuModel,
 ) -> SimResult {
-    let (group_size, num_groups) = group_split(cfg, n);
+    let (group_size, num_groups) = group_split(cfg.group_size, n);
     let mut rt = GpuRuntime::new(model.clone());
     let mut cpu = Resource::new("cpu", cfg.host.threads);
     let mut trace = Trace::new();
@@ -219,11 +234,11 @@ pub fn model_batch(
     // Barrier time for the non-pipelined variant.
     let mut barrier = 0 as Time;
 
-    let lane_cost = input_lanes as u64 * cfg.host.lane_ns;
     for _ in 0..cycles {
         if !cfg.pipelined {
             // RTLflow¬p: set inputs for ALL stimulus (parallel over host
             // threads), then launch every group; one global barrier.
+            let lane_cost = input_lanes as u64 * cfg.host.lane_ns;
             let per_thread = (n as u64 * lane_cost).div_ceil(cfg.host.threads as u64);
             let mut set_done = barrier;
             for _ in 0..cfg.host.threads.min(n) {
@@ -246,14 +261,13 @@ pub fn model_batch(
             // so it overlaps the GPU evaluating cycle c-1.
             for g in 0..num_groups {
                 let (_, len) = group_range(g, group_size, n);
-                let set_ready = group_gpu_done_prev[g];
-                let workers = cfg.host.workers_per_group.max(1).min(len);
-                let dur = (len as u64 * lane_cost).div_ceil(workers as u64).max(1);
-                let mut set_done = set_ready;
-                for _ in 0..workers {
-                    let (_, e) = cpu.schedule_traced(set_ready, dur, &mut trace, "set_inputs");
-                    set_done = set_done.max(e);
-                }
+                let set_done = cfg.host.set_inputs(
+                    &mut cpu,
+                    &mut trace,
+                    group_gpu_done_prev[g],
+                    len,
+                    input_lanes,
+                );
                 let gpu_ready = set_done.max(group_gpu_done[g]);
                 let t = rt.time_cycle(graph, cfg.mode, len, gpu_ready, Some(&mut trace));
                 group_gpu_done_prev[g] = group_gpu_done[g];
@@ -282,9 +296,9 @@ pub fn model_batch(
     }
 }
 
-/// `(group size, group count)` of an `n`-stimulus batch under `cfg`.
-fn group_split(cfg: &PipelineConfig, n: usize) -> (usize, usize) {
-    let group_size = cfg.group_size.max(1).min(n.max(1));
+/// `(group size, group count)` of an `n`-stimulus batch.
+fn group_split(group_size: usize, n: usize) -> (usize, usize) {
+    let group_size = group_size.max(1).min(n.max(1));
     (group_size, n.div_ceil(group_size).max(1))
 }
 
@@ -350,7 +364,7 @@ pub fn prepare(design: &Design, model: &GpuModel) -> Result<(KernelProgram, Cuda
 mod tests {
     use super::*;
     use designs::Benchmark;
-    use stimulus::RiscvSource;
+    use stimulus::{RiscvSource, StackedSource};
 
     fn setup(n: usize) -> (Design, KernelProgram, CudaGraph, PortMap, RiscvSource) {
         let design = Benchmark::RiscvMini.elaborate().unwrap();
@@ -491,26 +505,22 @@ mod tests {
 
     #[test]
     fn coalesced_jobs_match_standalone_runs() {
-        let (design, program, graph, map, _) = setup(1);
-        let model = GpuModel::default();
-        let cfg = PipelineConfig {
-            group_size: 8,
-            ..Default::default()
-        };
+        let (design, program, _, map, _) = setup(1);
         let specs: [(usize, u64); 3] = [(5, 0x11), (9, 0x22), (3, 0x33)];
-        let jobs: Vec<Box<dyn StimulusSource>> = specs
+        let jobs: Vec<RiscvSource> = specs
             .iter()
-            .map(|&(n, seed)| Box::new(RiscvSource::new(&map, n, seed)) as Box<dyn StimulusSource>)
+            .map(|&(n, seed)| RiscvSource::new(&map, n, seed))
             .collect();
-        let batch = simulate_batch_jobs(&design, &program, &graph, &map, jobs, 20, &cfg, &model);
-        assert_eq!(batch.ranges.len(), 3);
-        assert_eq!(batch.sim.digests.len(), 5 + 9 + 3);
+        let stacked = StackedSource::new(jobs);
+        let exec = ExecConfig::default();
+        let (digests, _) = run_groups(&design, &program, exec, &map, &stacked, 20, 8);
+        assert_eq!(digests.len(), 5 + 9 + 3);
         for (j, &(n, seed)) in specs.iter().enumerate() {
-            let solo_src = RiscvSource::new(&map, n, seed);
-            let solo = simulate_batch(&design, &program, &graph, &map, &solo_src, 20, &cfg, &model);
+            let solo = RiscvSource::new(&map, n, seed);
+            let (golden, _) = run_groups(&design, &program, exec, &map, &solo, 20, 8);
             assert_eq!(
-                &batch.sim.digests[batch.ranges[j].clone()],
-                &solo.digests[..],
+                &digests[stacked.segment_range(j)],
+                &golden[..],
                 "job {j} digests must be bit-identical to its standalone run"
             );
         }

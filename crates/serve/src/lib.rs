@@ -8,8 +8,7 @@
 //! feeds a **coalescer** that packs compatible jobs (same DUT
 //! structure, same cycle horizon) into one large launch per dispatch
 //! window, and a worker pool runs each launch through
-//! [`pipeline::simulate_batch_jobs`] with a warm per-design program
-//! cache.
+//! [`pipeline::run_groups`] with a warm per-design program cache.
 //!
 //! # Correctness contract
 //!
@@ -41,7 +40,7 @@
 //!    JobHandle ◄──Queued/Dispatched/Completed── worker pool
 //!                                               │ warm EngineCache
 //!                                               ▼
-//!                                   pipeline::simulate_batch_jobs
+//!                                   pipeline::run_groups
 //! ```
 //!
 //! [`StimulusSource`]: stimulus::StimulusSource

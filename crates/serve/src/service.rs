@@ -10,8 +10,9 @@
 //!   sleeps until the next deadline or the next submit.
 //! * **Workers** pull coalesced batches from a shared channel, look up
 //!   (or build, once per design) the compiled engine in the warm cache,
-//!   run the launch — [`pipeline::simulate_batch_jobs`] on one device,
-//!   or [`shard::shard_batch_jobs`] across the configured device pool —
+//!   run the launch — one [`pipeline::run_groups`] pass, timed by
+//!   [`pipeline::model_batch`] on one device or
+//!   [`shard::model_shard_batch`] across the configured device pool —
 //!   and fan per-job slices of the result back over each job's event
 //!   channel.
 
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 use cudasim::{CudaGraph, GpuModel};
 use pipeline::PipelineConfig;
 use rtlir::Design;
-use stimulus::{PortMap, StimulusSource};
+use stimulus::{PortMap, StackedSource, StimulusSource};
 use transpile::KernelProgram;
 
 use crate::coalesce::{Batch, Coalescer};
@@ -687,62 +688,53 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
         }
     }
 
-    // Single device keeps the pipeline path; a multi-device config routes
-    // the whole coalesced batch through the sharded executor. Either way
-    // each job's digest slice is bit-identical to a standalone run.
+    // One functional pass over the whole coalesced batch; a multi-device
+    // config only swaps the model that times it. Either way each job's
+    // digest slice is bit-identical to a standalone run.
     let (digests, ranges, makespan, gpu_utilization, pool) = if let Some((digests, ranges)) = remote
     {
         // Remote runs return functional digests only; the virtual timing
         // model stays a local concern.
         (digests, ranges, 0, 0.0, None)
-    } else if cfg.devices.len() > 1 {
-        let pool = shard::DevicePool::with_speeds(cfg.model.clone(), &cfg.devices);
-        let scfg = shard::ShardConfig {
-            group_size,
-            exec,
-            ..Default::default()
-        };
-        let r = shard::shard_batch_jobs(
-            &engine.design,
-            &engine.program,
-            &engine.graph,
-            &engine.map,
-            stacked,
-            cycles,
-            &scfg,
-            &pool,
-        );
-        let util = r.result.metrics.mean_utilization();
-        (
-            r.result.digests,
-            r.ranges,
-            r.result.makespan,
-            util,
-            Some(r.result.metrics),
-        )
     } else {
-        let pcfg = PipelineConfig {
-            group_size,
-            exec,
-            ..Default::default()
-        };
-        let r = pipeline::simulate_batch_jobs(
+        let stacked = StackedSource::new(stacked);
+        let ranges = (0..stacked.num_segments())
+            .map(|j| stacked.segment_range(j))
+            .collect();
+        let (digests, _) = pipeline::run_groups(
             &engine.design,
             &engine.program,
-            &engine.graph,
+            exec,
             &engine.map,
-            stacked,
+            &stacked,
             cycles,
-            &pcfg,
-            &cfg.model,
+            group_size,
         );
-        (
-            r.sim.digests,
-            r.ranges,
-            r.sim.makespan,
-            r.sim.gpu_utilization,
-            None,
-        )
+        let (lanes, n) = (engine.map.len(), stacked.num_stimulus());
+        if cfg.devices.len() > 1 {
+            let pool = shard::DevicePool::with_speeds(cfg.model.clone(), &cfg.devices);
+            let scfg = shard::ShardConfig {
+                group_size,
+                ..Default::default()
+            };
+            let m = shard::model_shard_batch(&engine.graph, lanes, n, cycles, &scfg, &pool);
+            (digests, ranges, m.makespan, m.mean_utilization(), Some(m))
+        } else {
+            let pcfg = PipelineConfig {
+                group_size,
+                ..Default::default()
+            };
+            let sim = pipeline::model_batch(
+                &engine.program,
+                &engine.graph,
+                lanes,
+                n,
+                cycles,
+                &pcfg,
+                &cfg.model,
+            );
+            (digests, ranges, sim.makespan, sim.gpu_utilization, None)
+        }
     };
     let elapsed = t0.elapsed();
 

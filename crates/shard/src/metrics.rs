@@ -3,7 +3,7 @@
 use desim::{Json, Time};
 
 /// What one device did over the run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceReport {
     pub device: usize,
     /// Configured speed factor.
@@ -23,7 +23,7 @@ pub struct DeviceReport {
 }
 
 /// Pool-wide metrics of one sharded run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardMetrics {
     pub devices: Vec<DeviceReport>,
     /// Batch size (stimulus).

@@ -57,7 +57,6 @@ fn sharding_never_changes_digests() {
             let cfg = ShardConfig {
                 group_size: 1 + g.below(12) as usize,
                 fault: None,
-                ..Default::default()
             };
             let r = flow
                 .simulate_sharded(source.as_ref(), cycles, &cfg, &pool)
@@ -95,7 +94,6 @@ fn faulted_runs_stay_bit_identical() {
             let cfg = ShardConfig {
                 group_size: 1 + g.below(8) as usize,
                 fault: Some(FaultSpec::schedule(at.clone())),
-                ..Default::default()
             };
             let r = flow
                 .simulate_sharded(source.as_ref(), cycles, &cfg, &pool)
@@ -127,7 +125,6 @@ fn rate_faults_with_requeue_stay_bit_identical() {
         let cfg = ShardConfig {
             group_size: 4,
             fault: Some(FaultSpec::with_rate(0.3, seed)),
-            ..Default::default()
         };
         let r = flow
             .simulate_sharded(source.as_ref(), 18, &cfg, &pool)
