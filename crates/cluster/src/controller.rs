@@ -67,15 +67,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A batch of coalesced jobs run remotely: the flat digests plus each
-/// job's slice.
-#[derive(Debug)]
-pub struct ClusterJobResult {
-    pub digests: Vec<u64>,
-    /// `ranges[j]` is job j's slice of `digests`.
-    pub ranges: Vec<std::ops::Range<usize>>,
-}
-
 /// A registered, currently idle worker connection.
 struct WorkerConn {
     id: u32,
@@ -296,22 +287,6 @@ impl Controller {
             m.batches += 1;
         }
         result
-    }
-
-    /// Run a set of coalesced jobs as one batch (serve's remote path);
-    /// returns the flat digests plus each job's range.
-    pub fn run_jobs(
-        &self,
-        design_key: u64,
-        jobs: Vec<Box<dyn StimulusSource>>,
-        cycles: u64,
-    ) -> Result<ClusterJobResult, ClusterError> {
-        let stacked = stimulus::StackedSource::new(jobs);
-        let ranges: Vec<_> = (0..stacked.num_segments())
-            .map(|j| stacked.segment_range(j))
-            .collect();
-        let digests = self.run_batch(design_key, &stacked, cycles)?;
-        Ok(ClusterJobResult { digests, ranges })
     }
 
     /// Snapshot the accumulated cluster metrics.

@@ -28,7 +28,7 @@ use std::time::Instant;
 use partition::PartitionSpec;
 use stimulus::StimulusSource;
 
-use super::{lock, ClusterJobResult, Controller, WorkerConn};
+use super::{lock, Controller, WorkerConn};
 use crate::error::ClusterError;
 use crate::wire::{
     read_frame, write_frame, BatchDescriptor, Frame, FrameWriter, GroupDispatch,
@@ -142,7 +142,7 @@ enum SessionEnd {
 impl Controller {
     /// Run one batch with the design cut into `k` model-parallel parts
     /// co-simulated across `k` workers. Digests are bit-identical to
-    /// [`Controller::run_batch`] and to a local `simulate_sharded` run.
+    /// [`Controller::run_batch`] and to a local `Flow::simulate` run.
     pub fn run_batch_modelpar(
         &self,
         design_key: u64,
@@ -186,23 +186,6 @@ impl Controller {
             m.batches += 1;
         }
         result
-    }
-
-    /// Run coalesced jobs model-parallel (serve's footprint-overflow
-    /// path); the model-parallel analogue of [`Controller::run_jobs`].
-    pub fn run_jobs_modelpar(
-        &self,
-        design_key: u64,
-        jobs: Vec<Box<dyn StimulusSource>>,
-        cycles: u64,
-        k: usize,
-    ) -> Result<ClusterJobResult, ClusterError> {
-        let stacked = stimulus::StackedSource::new(jobs);
-        let ranges: Vec<_> = (0..stacked.num_segments())
-            .map(|j| stacked.segment_range(j))
-            .collect();
-        let digests = self.run_batch_modelpar(design_key, &stacked, cycles, k)?;
-        Ok(ClusterJobResult { digests, ranges })
     }
 
     /// Take exactly `k` idle workers, waiting up to `rejoin_grace` for

@@ -37,7 +37,7 @@
 //! Results are therefore bit-identical regardless of worker count,
 //! capacities, mid-run deaths, or checkpoint resumes — verified end to
 //! end by `tests/cluster_determinism.rs` against single-process
-//! `simulate_sharded`, and under scripted [`chaos::ChaosPlan`] fault
+//! `Flow::simulate`, and under scripted [`chaos::ChaosPlan`] fault
 //! campaigns.
 //!
 //! # Model parallelism (wire v3)
@@ -73,7 +73,7 @@ pub mod wire;
 pub mod worker;
 
 pub use chaos::ChaosPlan;
-pub use controller::{ClusterConfig, ClusterJobResult, Controller};
+pub use controller::{ClusterConfig, Controller};
 pub use error::ClusterError;
 pub use metrics::{ClusterMetrics, WorkerReport};
 pub use stop::StopFlag;

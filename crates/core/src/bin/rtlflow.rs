@@ -13,7 +13,7 @@
 
 use std::process::exit;
 
-use rtlflow::cli::{benchmark_by_name, checked, csv_list, Args};
+use rtlflow::cli::{benchmark_by_name, checked, choice, csv_list, Args};
 use rtlflow::{fmt_duration, Benchmark, Flow, PipelineConfig, PortMap};
 use transpile::ToggleCoverage;
 
@@ -48,12 +48,11 @@ commands:
               tuned-artifact cache keyed by design hash.
   shard-sim   [--benchmark <name>] [-n <stimulus>] [-c <cycles>]
               [--gpus <k1,k2,..>] [--speeds <f1,f2,..>] [--group <size>]
-              [--fault-rate <p>] [--fault-seed <u64>] [--functional]
-              [--seed <u64>] [--json]
+              [--fault-rate <p>] [--fault-seed <u64>] [--json]
               Sweep device counts (or one heterogeneous pool via --speeds),
               reporting scheduled vs analytically predicted speedup, steal
-              counts, and per-device utilization. --functional also runs
-              the batch once for its digests; the schedule is the same.
+              counts, and per-device utilization. Timing-only: a group's
+              digests do not depend on where it runs, so none are computed.
   serve-sim   [--clients <n>] [--jobs <per-client>] [--designs <k>]
               [--max-batch <n>] [--window-ms <ms>] [--workers <n>]
               [--queue-limit <n>] [--devices <f1,f2,..>] [--seed <u64>]
@@ -79,7 +78,7 @@ commands:
               Run a batch on an in-process loopback TCP cluster of k
               workers, optionally killing workers mid-run (one scripted
               fault, or a deterministic --chaos campaign) and checking
-              digests bit-identical to the local sharded executor. With
+              digests bit-identical to the local executor. With
               --checkpoint-interval, killed groups resume on survivors
               from their last mid-group checkpoint instead of cycle 0.
               --model-parallel <k> cuts the *design* into k parts
@@ -232,12 +231,17 @@ fn main() {
         }
         "transpile" => {
             let flow = load_flow(&args);
-            let emit = args.get("emit").unwrap_or("cuda");
+            let cpp = choice(
+                args.get("emit").unwrap_or("cuda"),
+                "emit",
+                &[("cuda", false), ("cpp", true)],
+            );
             let out = out_path(&args);
             args.finish();
-            let (text, metrics) = match emit {
-                "cpp" => rtlflow::emit_cpp(&flow.design),
-                _ => rtlflow::emit_cuda(&flow.design, &flow.program),
+            let (text, metrics) = if cpp {
+                rtlflow::emit_cpp(&flow.design)
+            } else {
+                rtlflow::emit_cuda(&flow.design, &flow.program)
             };
             eprintln!(
                 "{}: {} LoC, {} tokens, CC_avg {:.1}, {} kernels/cycle",
@@ -613,14 +617,15 @@ fn main() {
                 |p| (0.0..=1.0).contains(p),
             );
             let fault_seed: u64 = args.num("fault-seed", 1);
-            let seed: u64 = args.num("seed", 1);
-            let functional = args.has("functional");
             let cfg = ShardConfig {
                 group_size: group.clamp(1, n),
                 fault: (fault_rate > 0.0).then(|| FaultSpec::with_rate(fault_rate, fault_seed)),
             };
             let speeds = args.get("speeds").map(|s| speed_list(s, "speeds"));
-            let gpus = csv_list::<usize>(args.get("gpus").unwrap_or("1,2,4"), "gpus");
+            let gpus: Vec<usize> = csv_list(args.get("gpus").unwrap_or("1,2,4"), "gpus")
+                .into_iter()
+                .map(|k| checked(k, "gpus", "at least 1", |&k| k >= 1))
+                .collect();
             let json = args.has("json");
             args.finish();
 
@@ -633,22 +638,12 @@ fn main() {
                 Some(s) => vec![DevicePool::with_speeds(flow.model.clone(), &s)],
                 None => gpus
                     .into_iter()
-                    .map(|k| DevicePool::uniform(flow.model.clone(), k.max(1)))
+                    .map(|k| DevicePool::uniform(flow.model.clone(), k))
                     .collect(),
             };
 
             let run = |pool: &DevicePool| {
-                if functional {
-                    let source = stimulus::source_for(&flow.design, &map, n, seed);
-                    flow.simulate_sharded(source.as_ref(), cycles, &cfg, pool)
-                        .unwrap_or_else(|e| {
-                            eprintln!("error: {e}");
-                            exit(1)
-                        })
-                        .metrics
-                } else {
-                    rtlflow::model_shard_batch(&flow.cuda, map.len(), n, cycles, &cfg, pool)
-                }
+                rtlflow::model_shard_batch(&flow.cuda, map.len(), n, cycles, &cfg, pool)
             };
             // Baselines: measured single device, and the analytic static
             // multi-GPU model at each device count.
@@ -698,18 +693,14 @@ fn main() {
                     .field("benchmark", bench_name)
                     .field("n", n)
                     .field("cycles", cycles)
-                    .field("functional", functional)
                     .field("fault_rate", fault_rate)
                     .field("single_device_makespan_ns", t1)
                     .field("sweeps", Json::Arr(rows));
                 println!("{doc}");
             } else {
                 println!(
-                    "shard-sim: {} stimulus x {} cycles, group {}{}",
-                    n,
-                    cycles,
-                    cfg.group_size,
-                    if functional { "" } else { " (timing-only)" }
+                    "shard-sim: {} stimulus x {} cycles, group {} (timing-only)",
+                    n, cycles, cfg.group_size
                 );
                 println!(
                     "  {:>4}  {:>12}  {:>8}  {:>9}  {:>6}  {:>7}  {:>7}",
@@ -947,14 +938,11 @@ fn main() {
             use desim::Json;
 
             let top_flag = args.get("top");
-            let do_rewrite = match args.get("rewrite").unwrap_or("on") {
-                "on" => true,
-                "off" => false,
-                other => {
-                    eprintln!("bad value for --rewrite: `{other}` (on|off)");
-                    exit(2)
-                }
-            };
+            let do_rewrite = choice(
+                args.get("rewrite").unwrap_or("on"),
+                "rewrite",
+                &[("on", true), ("off", false)],
+            );
             let n: usize = args.num("n", 1024);
             let cycles: u64 = args.num("c", 1000);
             let seed: u64 = args.num("seed", 1);
@@ -1021,29 +1009,11 @@ fn main() {
             // import, so it checks the importer, the rewriter, and the
             // batch executor against each other in one pass.
             let verified = verify.map(|count| {
-                let vc = cycles.min(200);
-                let step = (n / count.max(1)).max(1);
-                let mut frame = vec![0u64; map.len()];
-                let mut compared = 0usize;
-                for stim in (0..n).step_by(step) {
-                    let mut interp = rtlflow::Interp::new(&reference).unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
+                flow.verify_against(&reference, source.as_ref(), cycles.min(200), count)
+                    .unwrap_or_else(|e| {
+                        eprintln!("GOLDEN MISMATCH: {e}");
                         exit(1)
-                    });
-                    for c in 0..vc {
-                        source.fill_frame(stim, c, &mut frame);
-                        interp.step_cycle(&map.to_pokes(&frame));
-                    }
-                    if cycles == vc && result.digests[stim] != interp.output_digest() {
-                        eprintln!(
-                            "GOLDEN MISMATCH: stimulus {stim} diverged from the \
-                             un-rewritten interpreter reference"
-                        );
-                        exit(1);
-                    }
-                    compared += 1;
-                }
-                compared
+                    })
             });
 
             if json {
@@ -1121,10 +1091,7 @@ fn main() {
             }
         }
         "cluster-sim" => {
-            use rtlflow::{
-                ClusterConfig, Controller, DevicePool, FaultMode, ShardConfig, WorkerConfig,
-                WorkerFault,
-            };
+            use rtlflow::{ClusterConfig, Controller, FaultMode, WorkerConfig, WorkerFault};
             use std::time::Duration;
 
             let bench_name = args.get("benchmark").unwrap_or("riscv-mini");
@@ -1277,23 +1244,14 @@ fn main() {
             }
 
             let verified = verify.then(|| {
-                let cfg = ShardConfig {
-                    group_size: group.clamp(1, n.max(1)),
-                    ..Default::default()
-                };
                 let local = flow
-                    .simulate_sharded(
-                        source.as_ref(),
-                        cycles,
-                        &cfg,
-                        &DevicePool::uniform(flow.model.clone(), 1),
-                    )
+                    .simulate(source.as_ref(), cycles, &PipelineConfig::default())
                     .unwrap_or_else(|e| {
                         eprintln!("error: local reference run: {e}");
                         exit(1)
                     });
                 if local.digests != digests {
-                    eprintln!("CLUSTER MISMATCH: digests diverge from the local sharded run");
+                    eprintln!("CLUSTER MISMATCH: digests diverge from the local run");
                     exit(1);
                 }
             });
@@ -1379,7 +1337,7 @@ fn main() {
                 }
                 println!("{} distinct output signatures", unique.len());
                 if verified.is_some() {
-                    println!("verified: bit-identical to the local sharded executor");
+                    println!("verified: bit-identical to the local executor");
                 }
                 print!("{}", metrics.table());
             }

@@ -165,6 +165,30 @@ pub fn checked<T: std::fmt::Display>(
     })
 }
 
+/// The value `options` pairs with the name `value`, else the usage
+/// error naming `--flag` and every accepted name.
+fn try_choice<T: Copy>(value: &str, flag: &str, options: &[(&str, T)]) -> Result<T, String> {
+    match options.iter().find(|(name, _)| *name == value) {
+        Some(&(_, v)) => Ok(v),
+        None => {
+            let names: Vec<&str> = options.iter().map(|(name, _)| *name).collect();
+            Err(format!(
+                "bad value for --{flag}: `{value}` ({})",
+                names.join("|")
+            ))
+        }
+    }
+}
+
+/// [`try_choice`], exiting with a usage error on a name it does not
+/// know, like [`checked`] does on a value out of range.
+pub fn choice<T: Copy>(value: &str, flag: &str, options: &[(&str, T)]) -> T {
+    try_choice(value, flag, options).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
+}
+
 /// Resolve a benchmark name as accepted by `--benchmark`.
 pub fn benchmark_by_name(name: &str) -> Benchmark {
     match name {
@@ -272,6 +296,21 @@ mod tests {
         assert!(try_checked(f64::NAN, "fault-rate", "", |p| (0.0..=1.0).contains(p)).is_err());
         assert!(try_checked(0usize, "n", "at least 1", |&n| n >= 1).is_err());
         assert_eq!(try_checked(1usize, "n", "at least 1", |&n| n >= 1), Ok(1));
+    }
+
+    #[test]
+    fn unknown_choices_are_refused() {
+        let on_off = [("on", true), ("off", false)];
+        assert_eq!(try_choice("on", "rewrite", &on_off), Ok(true));
+        assert_eq!(try_choice("off", "rewrite", &on_off), Ok(false));
+        assert_eq!(
+            try_choice("junk", "emit", &[("cuda", 0), ("cpp", 1)]),
+            Err("bad value for --emit: `junk` (cuda|cpp)".to_string())
+        );
+        assert!(
+            try_choice("ON", "rewrite", &on_off).is_err(),
+            "names are exact"
+        );
     }
 
     #[test]

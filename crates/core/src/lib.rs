@@ -40,8 +40,8 @@ pub use autotune::{
 };
 pub use baselines::{CpuModel, EssentModel, EssentSim, VerilatorModel, VerilatorSim};
 pub use cluster::{
-    run_worker, spawn_worker, ChaosPlan, ClusterConfig, ClusterError, ClusterJobResult,
-    ClusterMetrics, Controller, FaultMode, WorkerConfig, WorkerFault, WorkerReport,
+    run_worker, spawn_worker, ChaosPlan, ClusterConfig, ClusterError, ClusterMetrics, Controller,
+    FaultMode, WorkerConfig, WorkerFault, WorkerReport,
 };
 pub use cudasim::{
     Checkpoint, CheckpointError, CudaGraph, ExecConfig, ExecMode, ExecStats, ExecStrategy,
@@ -64,7 +64,6 @@ pub use serve::{
 };
 pub use shard::{
     model_shard_batch, DevicePool, DeviceReport, DeviceSpec, FaultSpec, ShardConfig, ShardMetrics,
-    ShardResult,
 };
 pub use stimulus::{PortMap, RandomSource, RiscvSource, SliceSource, StimulusSource};
 pub use transpile::{emit_cpp, emit_cuda, CodeMetrics, KernelProgram, Partition};
@@ -221,39 +220,6 @@ impl Flow {
         ))
     }
 
-    /// Simulate a batch across a multi-device pool with elastic work
-    /// stealing: the functional pass once, with the default engine, then
-    /// the pool's schedule. Digests are bit-identical to
-    /// [`Flow::simulate`] for any pool shape, speed mix, or injected fault
-    /// schedule, and the metrics equal [`model_shard_batch`]'s.
-    pub fn simulate_sharded(
-        &self,
-        source: &dyn StimulusSource,
-        cycles: u64,
-        cfg: &ShardConfig,
-        pool: &DevicePool,
-    ) -> Result<ShardResult, String> {
-        let map = self.checked_port_map(source)?;
-        let (digests, _) = pipeline::run_groups(
-            &self.design,
-            &self.program,
-            ExecConfig::default(),
-            &map,
-            source,
-            cycles,
-            cfg.group_size,
-        );
-        let metrics = model_shard_batch(
-            &self.cuda,
-            map.len(),
-            source.num_stimulus(),
-            cycles,
-            cfg,
-            pool,
-        );
-        Ok(ShardResult { digests, metrics })
-    }
-
     /// Simulate `n` random stimulus for `cycles` cycles (idiomatic source
     /// per design: constrained RISC-V streams, NVDLA protocol, or pure
     /// random).
@@ -271,13 +237,34 @@ impl Flow {
         cycles: u64,
         sample: usize,
     ) -> Result<usize, String> {
-        let map = self.port_map();
+        self.verify_against(&self.design, source, cycles, sample)
+    }
+
+    /// [`Flow::verify_against_golden`] with the interpreter running
+    /// `reference` instead of the flow's own design, e.g. a netlist
+    /// import before the rewriter touched it. `reference` must drive the
+    /// same input ports in the same order.
+    pub fn verify_against(
+        &self,
+        reference: &Design,
+        source: &dyn StimulusSource,
+        cycles: u64,
+        sample: usize,
+    ) -> Result<usize, String> {
+        let map = PortMap::from_design(reference);
+        if map.len() != source.num_ports() {
+            return Err(format!(
+                "reference drives {} ports but stimulus has {} lanes",
+                map.len(),
+                source.num_ports()
+            ));
+        }
         let result = self.simulate(source, cycles, &PipelineConfig::default())?;
         let mut compared = 0;
         let step = (source.num_stimulus() / sample.max(1)).max(1);
         let mut frame = vec![0u64; map.len()];
         for s in (0..source.num_stimulus()).step_by(step) {
-            let mut interp = Interp::new(&self.design).map_err(|e| e.to_string())?;
+            let mut interp = Interp::new(reference).map_err(|e| e.to_string())?;
             for c in 0..cycles {
                 source.fill_frame(s, c, &mut frame);
                 interp.step_cycle(&map.to_pokes(&frame));
@@ -360,6 +347,27 @@ mod tests {
     }
 
     #[test]
+    fn a_diverging_reference_is_caught_past_200_cycles() {
+        let counter = |step: &str| {
+            format!(
+                "module top(input clk, input rst, input [7:0] a, output [7:0] q);
+                   reg [7:0] acc;
+                   always @(posedge clk) begin
+                     if (rst) acc <= 8'd0; else acc <= acc + a + {step};
+                   end
+                   assign q = acc;
+                 endmodule"
+            )
+        };
+        let flow = Flow::from_verilog(&counter("8'd0"), "top").unwrap();
+        let src = RandomSource::new(&flow.port_map(), 16, 7);
+        let same = rtlir::elaborate(&counter("8'd0"), "top").unwrap();
+        assert_eq!(flow.verify_against(&same, &src, 300, 8), Ok(8));
+        let other = rtlir::elaborate(&counter("8'd1"), "top").unwrap();
+        assert!(flow.verify_against(&other, &src, 300, 8).is_err());
+    }
+
+    #[test]
     fn lane_mismatch_is_rejected() {
         let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
         let other = Flow::from_benchmark(Benchmark::Nvdla(NvdlaScale::Tiny)).unwrap();
@@ -372,30 +380,6 @@ mod tests {
         let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
         let src = RiscvSource::new(&flow.port_map(), 0, 1);
         assert!(flow.simulate(&src, 5, &PipelineConfig::default()).is_err());
-        let pool = DevicePool::uniform(flow.model.clone(), 2);
-        assert!(flow
-            .simulate_sharded(&src, 5, &ShardConfig::default(), &pool)
-            .is_err());
-    }
-
-    #[test]
-    fn the_functional_pass_never_moves_the_schedule() {
-        let flow = Flow::from_benchmark(Benchmark::RiscvMini).unwrap();
-        let map = flow.port_map();
-        let src = RiscvSource::new(&map, 40, 3);
-        let pool = DevicePool::with_speeds(flow.model.clone(), &[1.0, 0.5, 0.25, 1.0]);
-        let mut faults = 0;
-        for group_size in [1, 4, 7, 40] {
-            let cfg = ShardConfig {
-                group_size,
-                fault: Some(FaultSpec::with_rate(0.2, group_size as u64)),
-            };
-            let run = flow.simulate_sharded(&src, 12, &cfg, &pool).unwrap();
-            let model = model_shard_batch(&flow.cuda, map.len(), 40, 12, &cfg, &pool);
-            assert_eq!(run.metrics, model, "group size {group_size}");
-            faults += model.faults_injected;
-        }
-        assert!(faults > 0, "the rate must kill some device");
     }
 
     #[test]

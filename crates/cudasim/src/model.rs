@@ -124,12 +124,6 @@ impl GpuModel {
         let waves = blocks.div_ceil(self.sms) as u64;
         (waves * self.block_time(stats)).max(self.launch.min_kernel_ns)
     }
-
-    /// Host-to-device (or back) copy time for `bytes` over PCIe 4.0 x16.
-    pub fn pcie_copy_time(&self, bytes: u64) -> Time {
-        // ~24 GB/s effective + 8 us latency.
-        (bytes as f64 / 24.0) as u64 + 8_000
-    }
 }
 
 #[cfg(test)]

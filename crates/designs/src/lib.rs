@@ -151,51 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn benchmarks_survive_print_reparse() {
-        // Print each benchmark's AST back to Verilog, reparse it, and check
-        // the elaborated design is behaviourally identical on a short run.
-        for b in [
-            Benchmark::RiscvMini,
-            Benchmark::Spinal,
-            Benchmark::Nvdla(NvdlaScale::Tiny),
-            Benchmark::Handshake,
-        ] {
-            let src = b.source();
-            let unit = rtlir::parse(&src).unwrap();
-            let printed = rtlir::printer::print_source_unit(&unit);
-            let d1 = b.elaborate().unwrap();
-            let d2 = rtlir::elaborate(&printed, b.top())
-                .unwrap_or_else(|e| panic!("{}: reparse failed: {e}", b.name()));
-            assert_eq!(d1.vars.len(), d2.vars.len(), "{}", b.name());
-            assert_eq!(d1.processes.len(), d2.processes.len(), "{}", b.name());
-
-            // Drive both with the same input pattern and compare digests.
-            let drive = |d: &rtlir::Design| {
-                let inputs: Vec<_> = d.inputs.clone();
-                rtlir::interp::run_cycles(d, 25, |c| {
-                    inputs
-                        .iter()
-                        .map(|&v| {
-                            let w = d.vars[v].width;
-                            (
-                                v,
-                                rtlir::BitVec::from_u64(c.wrapping_mul(0x9e3779b9) & 0xffff, w),
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap()
-            };
-            assert_eq!(
-                drive(&d1),
-                drive(&d2),
-                "{} diverged after print/reparse",
-                b.name()
-            );
-        }
-    }
-
-    #[test]
     fn nvdla_scales_monotonically() {
         let tiny = Benchmark::Nvdla(NvdlaScale::Tiny).elaborate().unwrap();
         let small = Benchmark::Nvdla(NvdlaScale::Small).elaborate().unwrap();

@@ -38,11 +38,6 @@ impl Json {
         }
         self
     }
-
-    /// Render with no extra whitespace (one line, diff-friendly via jq).
-    pub fn to_string_compact(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl From<bool> for Json {

@@ -31,11 +31,6 @@ pub const fn ms(v: u64) -> Time {
     v * 1_000_000
 }
 
-/// Convert a virtual time to seconds.
-pub fn to_secs(t: Time) -> f64 {
-    t as f64 / 1e9
-}
-
 /// Format a virtual duration the way the paper's tables do
 /// (`1h22m47s`, `2m45s`, `16s`, `850ms`...).
 pub fn fmt_duration(t: Time) -> String {

@@ -24,7 +24,7 @@
 //!   the same engines across TCP.
 //!
 //! Determinism contract: for any K, the folded per-stimulus output
-//! digests equal `Flow::simulate_sharded`'s bit for bit.
+//! digests equal `Flow::simulate`'s bit for bit.
 
 pub mod boundary;
 pub mod engine;

@@ -27,7 +27,7 @@ pub fn fold_digest(outputs: &[u64]) -> u64 {
 
 /// Simulate `cycles` cycles of `source` against `design` cut into `k`
 /// parts, in groups of `group_size` stimuli. Returns per-stimulus output
-/// digests, bit-identical to `Flow::simulate_sharded`.
+/// digests, bit-identical to `Flow::simulate`.
 pub fn simulate_modelpar(
     design: &Design,
     source: &dyn StimulusSource,

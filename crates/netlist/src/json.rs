@@ -57,13 +57,6 @@ impl JValue {
             _ => None,
         }
     }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JValue::Int(i) if *i >= 0 => Some(*i as u64),
-            _ => None,
-        }
-    }
 }
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.

@@ -11,9 +11,10 @@
 //!
 //! * [`run_groups`] — the functional half: every group's bit-exact
 //!   `set_inputs` / `evaluate` cycles through a [`GroupRunner`] on its
-//!   own device image. `Flow::simulate`, `Flow::simulate_sharded` and
-//!   serve all run their batches through it; the cluster worker and the
-//!   probes step single groups through the same [`GroupRunner`].
+//!   own device image. `Flow::simulate` and serve run their batches
+//!   through it (a device pool only swaps the model); the cluster
+//!   worker and the probes step single groups through the same
+//!   [`GroupRunner`].
 //! * [`model_batch`] — the virtual clock: discrete-event timing of the
 //!   same groups (CPU thread pool + SM pool + launch costs). Every
 //!   table/figure number comes from here; `shard`'s scheduler is the

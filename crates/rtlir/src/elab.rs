@@ -254,19 +254,6 @@ impl Design {
     pub fn find_var(&self, name: &str) -> Option<VarId> {
         self.vars.iter().position(|v| v.name == name)
     }
-
-    /// Total number of statements across all processes.
-    pub fn stmt_count(&self) -> usize {
-        fn count(stms: &[Stm]) -> usize {
-            stms.iter()
-                .map(|s| match s {
-                    Stm::Assign { .. } => 1,
-                    Stm::If { then_s, else_s, .. } => 1 + count(then_s) + count(else_s),
-                })
-                .sum()
-        }
-        self.processes.iter().map(|p| count(&p.body)).sum()
-    }
 }
 
 /// What a name resolves to inside one module scope.

@@ -39,7 +39,6 @@ pub mod interp;
 pub mod lexer;
 pub mod opt;
 pub mod parser;
-pub mod printer;
 pub mod token;
 pub mod value;
 pub mod vcd;

@@ -53,7 +53,7 @@ pub struct ClusterBackend {
     /// whose estimated footprint (per-stimulus device bytes × total
     /// stimulus) exceeds this is cut into `K = ceil(footprint / budget)`
     /// model-parallel parts (clamped to the idle worker count) and
-    /// co-simulated via [`cluster::Controller::run_jobs_modelpar`]
+    /// co-simulated via [`cluster::Controller::run_batch_modelpar`]
     /// instead of replicating the whole design on every worker. `None`
     /// keeps every remote batch data-parallel.
     pub footprint_budget: Option<u64>,
@@ -578,7 +578,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
     };
 
     let mut metas = Vec::with_capacity(n_jobs);
-    let mut sources: Vec<Arc<dyn StimulusSource>> = Vec::with_capacity(n_jobs);
+    let mut segments: Vec<Box<dyn StimulusSource>> = Vec::with_capacity(n_jobs);
     for job in batch.jobs {
         journal_event(
             shared,
@@ -602,14 +602,12 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
             accepted_at: job.accepted_at,
             events: job.events,
         });
-        sources.push(Arc::from(job.source));
+        segments.push(job.source);
     }
     // Each job's source keeps its own local indices inside the stack —
-    // the bit-identical-to-standalone invariant lives here.
-    let mut stacked: Vec<Box<dyn StimulusSource>> = sources
-        .iter()
-        .map(|s| Box::new(Arc::clone(s)) as Box<dyn StimulusSource>)
-        .collect();
+    // the bit-identical-to-standalone invariant lives here. Remote and
+    // local runs share the one stack.
+    let stacked = StackedSource::new(segments);
 
     let group_size = cfg.group_size.clamp(1, total.max(1));
     // Tuned exec applies only when the operator left `exec` at its
@@ -621,7 +619,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
     // design runs on remote workers. Any cluster failure (no live
     // workers, wire error) falls back to the local executors below, so
     // remote capacity can only add throughput, never lose a batch.
-    let mut remote: Option<(Vec<u64>, Vec<std::ops::Range<usize>>)> = None;
+    let mut remote: Option<Vec<u64>> = None;
     if let Some(cb) = &cfg.cluster {
         if total >= cb.min_stimulus && cb.controller.has_design(batch.key.design) {
             // Only one batch may hold the cluster at a time; a busy
@@ -649,19 +647,19 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
                 });
                 let outcome = if parts >= 2 {
                     cb.controller
-                        .run_jobs_modelpar(batch.key.design, stacked, cycles, parts)
+                        .run_batch_modelpar(batch.key.design, &stacked, cycles, parts)
                 } else {
-                    cb.controller.run_jobs(batch.key.design, stacked, cycles)
+                    cb.controller.run_batch(batch.key.design, &stacked, cycles)
                 };
                 match outcome {
-                    Ok(r) => {
+                    Ok(digests) => {
                         let mut m = shared.metrics.lock().expect("metrics poisoned");
                         m.cluster_dispatches += 1;
                         m.cluster_jobs += n_jobs as u64;
                         if parts >= 2 {
                             m.cluster_modelpar_dispatches += 1;
                         }
-                        remote = Some((r.digests, r.ranges));
+                        remote = Some(digests);
                     }
                     Err(_) => {
                         shared
@@ -671,13 +669,6 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
                             .cluster_fallbacks += 1;
                     }
                 }
-                // The sources are Arc-shared, so the local fallback (and
-                // the VCD path) can rebuild the stacked batch after the
-                // remote attempt consumed it.
-                stacked = sources
-                    .iter()
-                    .map(|s| Box::new(Arc::clone(s)) as Box<dyn StimulusSource>)
-                    .collect();
             } else {
                 shared
                     .metrics
@@ -691,16 +682,11 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
     // One functional pass over the whole coalesced batch; a multi-device
     // config only swaps the model that times it. Either way each job's
     // digest slice is bit-identical to a standalone run.
-    let (digests, ranges, makespan, gpu_utilization, pool) = if let Some((digests, ranges)) = remote
-    {
+    let (digests, makespan, gpu_utilization, pool) = if let Some(digests) = remote {
         // Remote runs return functional digests only; the virtual timing
         // model stays a local concern.
-        (digests, ranges, 0, 0.0, None)
+        (digests, 0, 0.0, None)
     } else {
-        let stacked = StackedSource::new(stacked);
-        let ranges = (0..stacked.num_segments())
-            .map(|j| stacked.segment_range(j))
-            .collect();
         let (digests, _) = pipeline::run_groups(
             &engine.design,
             &engine.program,
@@ -718,7 +704,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
                 ..Default::default()
             };
             let m = shard::model_shard_batch(&engine.graph, lanes, n, cycles, &scfg, &pool);
-            (digests, ranges, m.makespan, m.mean_utilization(), Some(m))
+            (digests, m.makespan, m.mean_utilization(), Some(m))
         } else {
             let pcfg = PipelineConfig {
                 group_size,
@@ -733,7 +719,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
                 &pcfg,
                 &cfg.model,
             );
-            (digests, ranges, sim.makespan, sim.gpu_utilization, None)
+            (digests, sim.makespan, sim.gpu_utilization, None)
         }
     };
     let elapsed = t0.elapsed();
@@ -754,7 +740,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
     shared.queue.lock().expect("queue poisoned").release(n_jobs);
 
     for (j, meta) in metas.into_iter().enumerate() {
-        let range = ranges[j].clone();
+        let range = stacked.segment_range(j);
         journal_event(
             shared,
             JournalEvent::Complete,
@@ -766,7 +752,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
             "",
         );
         let vcd = if meta.want_vcd {
-            let src = &sources[j];
+            let src = stacked.segment(j);
             let map = &engine.map;
             let mut frame = vec![0u64; map.len()];
             rtlir::vcd::dump_outputs(&engine.design, cycles, |c| {
@@ -1036,7 +1022,7 @@ mod tests {
     #[test]
     fn cluster_with_no_workers_falls_back_to_local() {
         let design = tiny_design();
-        // A controller nobody ever connects to: run_jobs fails fast once
+        // A controller nobody ever connects to: run_batch fails fast once
         // the (shortened) rejoin grace expires, and the batch must land
         // on the local pipeline anyway.
         let controller = Arc::new(

@@ -24,8 +24,9 @@
 //!
 //! No kernel runs here. A group's digests are a pure function of
 //! `(stimulus ids, cycles)`, so placement and failures can never change
-//! them: the functional pass is `pipeline::run_groups`, run once, and
-//! this scheduler only decides *when* each group would have run.
+//! them: the functional pass is `pipeline::run_groups` (behind
+//! `Flow::simulate`), run once, and this scheduler only decides *when*
+//! each group would have run.
 
 use std::collections::VecDeque;
 
@@ -53,16 +54,6 @@ impl Default for ShardConfig {
             fault: None,
         }
     }
-}
-
-/// Result of a sharded batch run: the functional pass's digests plus the
-/// scheduler's metrics (`metrics.makespan` is the batch's virtual
-/// completion time).
-#[derive(Debug)]
-pub struct ShardResult {
-    /// Final per-stimulus output digests.
-    pub digests: Vec<u64>,
-    pub metrics: ShardMetrics,
 }
 
 /// Per-device scheduler state.

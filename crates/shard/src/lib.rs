@@ -9,17 +9,17 @@
 //!
 //! The scheduler is a pure model of time: it never runs a kernel or
 //! reads a stimulus. A group's digests are a pure function of
-//! `(stimulus ids, cycles)`, so `Flow::simulate_sharded` and serve run
-//! the functional pass once through `pipeline::run_groups` and call
-//! [`model_shard_batch`] for the schedule; placement, steals and faults
-//! can never change a digest.
+//! `(stimulus ids, cycles)`, so the digests come from one functional
+//! pass (`Flow::simulate`, or `pipeline::run_groups` in serve) and
+//! [`model_shard_batch`] only times the schedule; placement, steals and
+//! faults can never change a digest.
 
 mod exec;
 mod fault;
 mod metrics;
 mod pool;
 
-pub use exec::{model_shard_batch, ShardConfig, ShardResult};
+pub use exec::{model_shard_batch, ShardConfig};
 pub use fault::FaultSpec;
 pub use metrics::{DeviceReport, ShardMetrics};
 pub use pool::{DevicePool, DeviceSpec};

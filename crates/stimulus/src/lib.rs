@@ -715,9 +715,9 @@ impl<S: StimulusSource> StackedSource<S> {
         self.prefix[j]..self.prefix[j + 1]
     }
 
-    /// Number of stacked segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
+    /// Segment `j`, with its own local stimulus indices.
+    pub fn segment(&self, j: usize) -> &S {
+        &self.segments[j]
     }
 }
 

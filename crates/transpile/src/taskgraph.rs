@@ -290,16 +290,6 @@ impl KernelProgram {
     pub fn ops_per_cycle(&self) -> u64 {
         self.graph.kernels.iter().map(|k| k.ops.len() as u64).sum()
     }
-
-    /// Largest register demand of any kernel (scratch arena sizing).
-    pub fn max_regs(&self) -> u16 {
-        self.graph
-            .kernels
-            .iter()
-            .map(|k| k.num_regs)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Every comb node must appear in exactly one task.

@@ -1,7 +1,7 @@
 //! The cluster invariant, mirroring `tests/shard_determinism.rs` one
 //! layer up: for ANY worker count, capacity mix, or mid-run worker
 //! death, a batch run over loopback TCP returns digests bit-identical
-//! to the local sharded executor. Determinism holds because digests are
+//! to the local `Flow::simulate` run. Determinism holds because digests are
 //! a pure function of (stimulus, cycle): the controller materializes
 //! every group's frames once, and a requeued group re-executes the same
 //! frames on a survivor.
@@ -10,24 +10,15 @@ use std::time::Duration;
 
 use cluster::GroupFault;
 use rtlflow::{
-    spawn_worker, Benchmark, ChaosPlan, ClusterConfig, ClusterMetrics, Controller, DevicePool,
-    FaultMode, Flow, PortMap, ShardConfig, StimulusSource, WorkerConfig, WorkerFault,
+    spawn_worker, Benchmark, ChaosPlan, ClusterConfig, ClusterMetrics, Controller, FaultMode, Flow,
+    PipelineConfig, PortMap, StimulusSource, WorkerConfig, WorkerFault,
 };
 
-/// Single-device sharded run: the local reference the cluster must match.
-fn sharded_digests(flow: &Flow, source: &dyn StimulusSource, cycles: u64) -> Vec<u64> {
-    let cfg = ShardConfig {
-        group_size: 8,
-        ..Default::default()
-    };
-    flow.simulate_sharded(
-        source,
-        cycles,
-        &cfg,
-        &DevicePool::uniform(flow.model.clone(), 1),
-    )
-    .expect("local sharded reference")
-    .digests
+/// Local `Flow::simulate` run: the reference the cluster must match.
+fn local_digests(flow: &Flow, source: &dyn StimulusSource, cycles: u64) -> Vec<u64> {
+    flow.simulate(source, cycles, &PipelineConfig::default())
+        .expect("local reference")
+        .digests
 }
 
 /// The faults one run injects. `by_worker[i]` kills worker i at a pickup
@@ -100,7 +91,7 @@ fn loopback_matches_sharded_for_every_benchmark_and_worker_count() {
         let flow = Flow::from_benchmark(bench).unwrap();
         let map = PortMap::from_design(&flow.design);
         let source = stimulus::source_for(&flow.design, &map, n, 0xc1u64);
-        let golden = sharded_digests(&flow, source.as_ref(), cycles);
+        let golden = local_digests(&flow, source.as_ref(), cycles);
 
         for workers in [1usize, 4] {
             let cfg = ClusterConfig {
@@ -118,7 +109,7 @@ fn loopback_matches_sharded_for_every_benchmark_and_worker_count() {
             );
             assert_eq!(
                 digests, golden,
-                "{bench:?} with {workers} worker(s) diverged from the sharded reference"
+                "{bench:?} with {workers} worker(s) diverged from the local reference"
             );
             assert_eq!(m.batches, 1);
             assert_eq!(m.worker_deaths, 0);
@@ -132,7 +123,7 @@ fn worker_killed_mid_run_stays_bit_identical() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 64, 0xdead);
-    let golden = sharded_digests(&flow, source.as_ref(), 20);
+    let golden = local_digests(&flow, source.as_ref(), 20);
 
     // Sixteen groups over four workers; whoever picks up group 5 dies
     // with it in flight. Some worker must pick it up, so the kill lands
@@ -163,7 +154,7 @@ fn silent_worker_is_detected_by_heartbeat_timeout() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 48, 0x51e7);
-    let golden = sharded_digests(&flow, source.as_ref(), 16);
+    let golden = local_digests(&flow, source.as_ref(), 16);
 
     // A silent worker never closes its socket, so only the heartbeat
     // deadline can unmask it; shrink the deadline to keep the test fast.
@@ -191,7 +182,7 @@ fn sole_worker_death_is_rescued_by_its_own_reconnect() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 32, 0x0e57);
-    let golden = sharded_digests(&flow, source.as_ref(), 16);
+    let golden = local_digests(&flow, source.as_ref(), 16);
 
     // One worker, killed mid-batch: no survivor exists, so the orphaned
     // groups can only complete when the worker's reconnect loop rejoins
@@ -224,7 +215,7 @@ fn worker_killed_mid_group_resumes_from_checkpoint() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 32, 0xc4e);
-    let golden = sharded_digests(&flow, source.as_ref(), 48);
+    let golden = local_digests(&flow, source.as_ref(), 48);
 
     // Whoever picks up group 0 dies 20 cycles into it — past two
     // checkpoint boundaries (interval 8) — so the requeued group must
@@ -265,7 +256,7 @@ fn chaos_campaign_is_bit_identical_after_recovery() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 48, 0xca05);
-    let golden = sharded_digests(&flow, source.as_ref(), 48);
+    let golden = local_digests(&flow, source.as_ref(), 48);
 
     // A scripted chaos campaign: the plan is a pure function of the
     // seed, so a failure here reproduces exactly from this test alone.

@@ -1,6 +1,6 @@
 //! The model-parallel invariant: cutting the *design* into K parts —
 //! in-process or across loopback cluster workers — returns digests
-//! bit-identical to the local sharded executor, for every benchmark,
+//! bit-identical to the local `Flow::simulate` run, for every benchmark,
 //! every K, and under a mid-run partition-replica kill with rollback.
 //!
 //! Determinism holds because the cut is a pure function of (design, K),
@@ -13,24 +13,15 @@ use std::time::Duration;
 
 use rtlflow::{
     simulate_modelpar, spawn_worker, Benchmark, ClusterConfig, ClusterMetrics, Controller,
-    DevicePool, ExecConfig, FaultMode, Flow, PortMap, ShardConfig, StimulusSource, WorkerConfig,
+    ExecConfig, FaultMode, Flow, PipelineConfig, PortMap, StimulusSource, WorkerConfig,
     WorkerFault,
 };
 
-/// Single-device sharded run: the local reference model-parallel must match.
-fn sharded_digests(flow: &Flow, source: &dyn StimulusSource, cycles: u64) -> Vec<u64> {
-    let cfg = ShardConfig {
-        group_size: 8,
-        ..Default::default()
-    };
-    flow.simulate_sharded(
-        source,
-        cycles,
-        &cfg,
-        &DevicePool::uniform(flow.model.clone(), 1),
-    )
-    .expect("local sharded reference")
-    .digests
+/// Local `Flow::simulate` run: the reference model-parallel must match.
+fn local_digests(flow: &Flow, source: &dyn StimulusSource, cycles: u64) -> Vec<u64> {
+    flow.simulate(source, cycles, &PipelineConfig::default())
+        .expect("local reference")
+        .digests
 }
 
 /// Run one model-parallel batch on a loopback cluster of `parts`
@@ -91,14 +82,14 @@ fn in_process_k_way_matches_sharded_for_every_benchmark() {
         let flow = Flow::from_benchmark(bench).unwrap();
         let map = PortMap::from_design(&flow.design);
         let source = stimulus::source_for(&flow.design, &map, n, 0x90de1u64);
-        let golden = sharded_digests(&flow, source.as_ref(), cycles);
+        let golden = local_digests(&flow, source.as_ref(), cycles);
 
         for k in [2usize, 3, 4] {
             let cut = simulate_modelpar(&flow.design, source.as_ref(), cycles, k, &exec, 8)
                 .unwrap_or_else(|e| panic!("{bench:?} k={k}: {e}"));
             assert_eq!(
                 cut, golden,
-                "{bench:?} cut into {k} parts diverged from the sharded reference"
+                "{bench:?} cut into {k} parts diverged from the local reference"
             );
         }
     }
@@ -115,14 +106,14 @@ fn loopback_model_parallel_matches_sharded_and_overlaps_exchange() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 32, 0x0f10u64);
-    let golden = sharded_digests(&flow, source.as_ref(), 24);
+    let golden = local_digests(&flow, source.as_ref(), 24);
 
     let cfg = ClusterConfig {
         group_size: 16,
         ..Default::default()
     };
     let (digests, m) = run_cluster_modelpar(bench, source.as_ref(), 24, 2, &[], 0, cfg);
-    assert_eq!(digests, golden, "loopback K=2 diverged from sharded");
+    assert_eq!(digests, golden, "loopback K=2 diverged from the local run");
     assert!(m.modelpar_groups >= 1);
     assert_eq!(m.modelpar_rollbacks, 0);
     assert!(
@@ -145,7 +136,7 @@ fn partition_replica_killed_mid_run_rolls_back_bit_identical() {
     let flow = Flow::from_benchmark(bench).unwrap();
     let map = PortMap::from_design(&flow.design);
     let source = stimulus::source_for(&flow.design, &map, 32, 0xdeadu64);
-    let golden = sharded_digests(&flow, source.as_ref(), 24);
+    let golden = local_digests(&flow, source.as_ref(), 24);
 
     let cfg = ClusterConfig {
         group_size: 16,
