@@ -172,8 +172,13 @@ impl<'a> ProbeHarness<'a> {
             ExecStrategy::Fused => {
                 // Word-domain ops cost one unit per lane; bit ops process
                 // 64 lanes per word; escapes pay a per-lane scatter each
-                // cycle. A zero-plane layout has only the word term.
-                let word_ops = program.bit.word_fop_count() as f64;
+                // cycle. A zero-plane layout has only the word term: the
+                // whole fused program.
+                let word_ops = if program.bit.num_planes() > 0 {
+                    program.bit.word_fop_count()
+                } else {
+                    program.fused.iter().map(|k| k.fops.len()).sum()
+                } as f64;
                 let bit_ops = program.bit.bit_op_count() as f64;
                 let escapes = program.bit.escape_count() as f64;
                 program.order.len() as f64 * chunks * DISPATCH
@@ -237,6 +242,32 @@ mod tests {
             ..Candidate::default()
         };
         assert_ne!(h.static_score(&chunked).unwrap(), a);
+    }
+
+    /// The estimate of the word term did not move when zero-plane
+    /// layouts stopped fusing their remainder a second time: riscv-mini
+    /// has no planes, handshake has 401. The pins are the scores the
+    /// double-fused build computed.
+    #[test]
+    fn static_score_is_pinned_on_both_data_paths() {
+        let pins = [
+            (Benchmark::RiscvMini, 256, 480408.34709503077),
+            (Benchmark::RiscvMini, 32, 474721.10135295516),
+            (Benchmark::Handshake, 256, 5821357.103874841),
+            (Benchmark::Handshake, 32, 5049708.063752565),
+        ];
+        for (bench, chunk, pin) in pins {
+            let design = bench.elaborate().unwrap();
+            let mut h = ProbeHarness::new(&design, ProbeSettings::default()).unwrap();
+            let cand = Candidate {
+                exec: ExecConfig::default().with_lane_chunk(chunk),
+                ..Candidate::default()
+            };
+            let score = h.static_score(&cand).unwrap();
+            assert_eq!(score, pin, "{bench:?} at chunk {chunk}");
+            let bit = &h.program_for(&cand).unwrap().bit;
+            assert_eq!(bit.word_fused.is_empty(), bit.num_planes() == 0);
+        }
     }
 
     #[test]

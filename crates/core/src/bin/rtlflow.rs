@@ -287,6 +287,7 @@ fn main() {
             println!("GPU utilization: {:.1}%", result.gpu_utilization * 100.0);
             let unique: std::collections::HashSet<_> = result.digests.iter().collect();
             println!("{} distinct output signatures", unique.len());
+            println!("digest checksum: {}", result.digest_checksum());
             let st = &result.exec;
             println!(
                 "fusion: {} ops -> {} fops ({} superops, {} consts folded, {} dead removed)",

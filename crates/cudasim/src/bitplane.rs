@@ -128,7 +128,8 @@ pub struct BitLayout {
     num_planes: u32,
     /// Per kernel: transposed slots its word part reads.
     pub escapes: Vec<Vec<EscapeRead>>,
-    /// Per kernel: the word-domain remainder, fused like the vector engine.
+    /// Per kernel: the word-domain remainder, fused like the vector
+    /// engine. Empty for a zero-plane layout, which never runs it.
     pub word_fused: Vec<FusedKernel>,
     /// Per kernel: the bit-domain program.
     pub bit: Vec<BitProgram>,
@@ -589,28 +590,34 @@ impl BitLayout {
         }
 
         // Build the word-domain remainder and fuse it like the vector
-        // engine (against the full-IR uniform analysis).
-        let word_kernels: Vec<Kernel> = ir
-            .kernels
-            .iter()
-            .zip(&classes)
-            .map(|(k, cls)| {
-                let ops: Vec<Op> = k
-                    .ops
-                    .iter()
-                    .zip(&cls.word_inc)
-                    .filter(|&(_, &inc)| inc)
-                    .map(|(op, _)| op.clone())
-                    .collect();
-                Kernel::new(k.name.clone(), ops)
-            })
-            .collect();
-        let word_ir = TaskGraphIr {
-            kernels: word_kernels,
-            deps: ir.deps.clone(),
+        // engine (against the full-IR uniform analysis). Without planes
+        // the remainder is the whole program, which `run_order` runs
+        // from the program's own fused kernels: fusing it again here
+        // would only cost set-up time and memory.
+        let word_fused = if num_planes == 0 {
+            Vec::new()
+        } else {
+            let word_kernels: Vec<Kernel> = ir
+                .kernels
+                .iter()
+                .zip(&classes)
+                .map(|(k, cls)| {
+                    let ops: Vec<Op> = k
+                        .ops
+                        .iter()
+                        .zip(&cls.word_inc)
+                        .filter(|&(_, &inc)| inc)
+                        .map(|(op, _)| op.clone())
+                        .collect();
+                    Kernel::new(k.name.clone(), ops)
+                })
+                .collect();
+            let word_ir = TaskGraphIr {
+                kernels: word_kernels,
+                deps: ir.deps.clone(),
+            };
+            fuse_graph_with(&word_ir, uniform, cfg)
         };
-        let word_fused = fuse_graph_with(&word_ir, uniform, cfg);
-
         let bit: Vec<BitProgram> = ir
             .kernels
             .iter()
@@ -661,7 +668,8 @@ impl BitLayout {
         self.bit.iter().map(|p| p.ops.len()).sum()
     }
 
-    /// Total word-domain fused ops across all kernels.
+    /// Total word-domain fused ops across all kernels (0 for a
+    /// zero-plane layout).
     pub fn word_fop_count(&self) -> usize {
         self.word_fused.iter().map(|k| k.fops.len()).sum()
     }
@@ -1305,6 +1313,10 @@ mod tests {
         let layout = BitLayout::compile(&ir, 1, &[], None, &FuseConfig::default());
         assert_eq!(layout.num_planes(), 0);
         assert_eq!(layout.plane_of(0), None);
+        // With no planes the word remainder is the whole program; the
+        // layout does not fuse it a second time.
+        assert!(layout.word_fused.is_empty());
+        assert_eq!(layout.word_fop_count(), 0);
     }
 
     #[test]

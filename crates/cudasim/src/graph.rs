@@ -12,6 +12,8 @@
 //!   instantiation, then a single CPU launch per cycle with a small
 //!   amortized per-node scheduling cost on the device.
 
+use std::sync::OnceLock;
+
 use desim::{Resource, Time, Trace};
 
 use crate::bitplane::BitLayout;
@@ -41,9 +43,10 @@ pub struct CudaGraph {
     pub levels: Vec<u32>,
     /// One-time instantiation cost charged to the CPU.
     pub instantiate_ns: Time,
-    /// Fused programs, indexed like `ir.kernels` — built once here
-    /// (CUDA-Graph capture time), executed every cycle.
-    pub fused: Vec<FusedKernel>,
+    /// Fused programs, indexed like `ir.kernels`: built on first use by
+    /// [`CudaGraph::fused`]. Most graphs are only ever timed, and the
+    /// program they come from already holds its own fused copy.
+    fused: OnceLock<Vec<FusedKernel>>,
     /// Uniform-slot analysis the fusion was specialized against.
     pub uniform: Option<SlotUniform>,
     /// Bit-transposed layout of the design (`None`, like a zero-plane
@@ -73,13 +76,12 @@ impl CudaGraph {
         }
         let levels = ir.levels();
         let instantiate_ns = ir.kernels.len() as Time * model.launch.graph_instantiate_node_ns;
-        let fused = fuse_graph(&ir, uniform.as_ref());
         Ok(CudaGraph {
             ir,
             order,
             levels,
             instantiate_ns,
-            fused,
+            fused: OnceLock::new(),
             uniform,
             bit,
         })
@@ -97,10 +99,17 @@ impl CudaGraph {
         )
     }
 
+    /// The fused programs, indexed like `ir.kernels`; fused on the first
+    /// call.
+    pub fn fused(&self) -> &[FusedKernel] {
+        self.fused
+            .get_or_init(|| fuse_graph(&self.ir, self.uniform.as_ref()))
+    }
+
     /// Aggregate fusion + uniform statistics for the metrics path
     /// (see [`ExecStats::of`]).
     pub fn static_exec_stats(&self) -> ExecStats {
-        ExecStats::of(&self.fused, self.uniform.as_ref())
+        ExecStats::of(self.fused(), self.uniform.as_ref())
     }
 
     /// Number of kernels.
@@ -195,7 +204,7 @@ impl GpuRuntime {
         // then timing.
         self.scalar_ops += run_order(
             &graph.ir.kernels,
-            &graph.fused,
+            graph.fused(),
             graph.bit.as_ref(),
             &graph.order,
             dev,
@@ -385,6 +394,32 @@ mod tests {
         let mut scratch = Scratch::new();
         let t = rt.run_cycle(&g, mode, &mut dev, &mut scratch, 0, n, 0, None);
         (dev, t)
+    }
+
+    /// Timing a graph never fuses it; the first functional cycle does,
+    /// once.
+    #[test]
+    fn fusion_waits_for_the_first_functional_cycle() {
+        let model = GpuModel::default();
+        let g = CudaGraph::instantiate(diamond(), &model).unwrap();
+        let mut rt = GpuRuntime::new(model);
+        rt.time_cycle(&g, ExecMode::Graph, 16, 0, None);
+        assert!(g.fused.get().is_none(), "timing fused the graph");
+        let mut dev = DeviceMemory::new(16, 0, 0, 6, 0);
+        rt.run_cycle(
+            &g,
+            ExecMode::Graph,
+            &mut dev,
+            &mut Scratch::new(),
+            0,
+            16,
+            0,
+            None,
+        );
+        let first = g.fused().as_ptr();
+        assert_eq!(g.fused().len(), g.len());
+        assert_eq!(g.static_exec_stats().fuse.ops_in, 16);
+        assert_eq!(g.fused().as_ptr(), first, "fused twice");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! Two halves that share nothing but the group split:
 //!
 //! * [`run_groups`] — the functional half: every group's bit-exact
-//!   `set_inputs` / `evaluate` cycles through a [`GroupRunner`] on its
-//!   own device image. `Flow::simulate` and serve run their batches
-//!   through it (a device pool only swaps the model); the cluster
-//!   worker and the probes step single groups through the same
-//!   [`GroupRunner`].
+//!   `set_inputs` / `evaluate` cycles through [`GroupRunner`]s on their
+//!   own device images, each group cut into lane blocks that the host's
+//!   cores step in no fixed order. `Flow::simulate` and serve run their
+//!   batches through it (a device pool only swaps the model); the
+//!   cluster worker and the probes step single groups through the same
+//!   [`GroupRunner`] on the caller's thread.
 //! * [`model_batch`] — the virtual clock: discrete-event timing of the
 //!   same groups (CPU thread pool + SM pool + launch costs). Every
 //!   table/figure number comes from here; `shard`'s scheduler is the
@@ -23,8 +24,11 @@
 //! [`simulate_batch`] runs the first, then the second.
 
 mod runner;
+mod threads;
 
 pub use runner::{restore_image, GroupRunner, Resume};
+
+use std::sync::Mutex;
 
 use cudasim::{CudaGraph, ExecConfig, ExecMode, ExecStats, GpuModel, GpuRuntime};
 use desim::{Resource, Time, Trace};
@@ -104,7 +108,7 @@ pub struct PipelineConfig {
     /// CUDA execution mode per group-cycle.
     pub mode: ExecMode,
     /// Functional execution config (the scalar oracle, or the fused
-    /// engine and its thread count). Timing is unaffected; only host
+    /// engine and its lane chunk). Timing is unaffected; only host
     /// wall-clock and bit-exact functional results flow from this.
     pub exec: ExecConfig,
     pub host: HostModel,
@@ -141,13 +145,24 @@ pub struct SimResult {
     pub exec: ExecStats,
 }
 
+impl SimResult {
+    /// FNV-1a fold of the digests in stimulus order: one number that
+    /// names a batch's functional outcome (the repo benchmark folds its
+    /// reference digests the same way).
+    pub fn digest_checksum(&self) -> u64 {
+        self.digests.iter().fold(0xcbf2_9ce4_8422_2325, |h, &d| {
+            (h ^ d).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+}
+
 /// Run `cycles` of `source` through `program` under `cfg`: every group
 /// functionally ([`run_groups`]), then the virtual clock over the same
 /// groups ([`model_batch`]).
 ///
-/// The functional pass comes first and drops each group's image before
-/// the next, so the model's trace is never resident together with a
-/// device image; modelling first raises peak RSS (DESIGN.md §17).
+/// The functional pass comes first and drops each block's image when
+/// the block ends, so the model's trace is never resident together with
+/// a device image; modelling first raises peak RSS (DESIGN.md §17).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_batch(
     design: &Design,
@@ -177,11 +192,21 @@ pub fn simulate_batch(
 }
 
 /// The functional pass: every `group_size`-stimulus group of `source`
-/// stepped `cycles` times through a [`GroupRunner`], start to finish on
-/// its own device image, in group order. Returns the per-stimulus output
-/// digests and the scalar ops executed. A group's digests are a pure
-/// function of `(stimulus ids, cycles)`, so any timing model may place
-/// the same groups however it likes.
+/// stepped `cycles` times through [`GroupRunner`]s, start to finish on
+/// their own device images. Returns the per-stimulus output digests and
+/// the scalar ops executed. A group's digests are a pure function of
+/// `(stimulus ids, cycles)`, so any timing model may place the same
+/// groups however it likes.
+///
+/// The host's cores share the work: each group is cut into lane blocks
+/// of about `group_size / cores` lanes, rounded up to whole
+/// `exec.lane_chunk`s so the executor chunks a group's lanes where it
+/// always did (and the scalar-op count does not move); no block spans
+/// two groups. The blocks go to the caller plus up to one helper thread
+/// per spare core, leased from a process-wide pool without blocking.
+/// Blocks finish in no fixed order; each writes only its own digests.
+/// Without a free slot the caller steps every block in order; with one
+/// core the blocks are the groups and no thread starts.
 pub fn run_groups(
     design: &Design,
     program: &KernelProgram,
@@ -191,20 +216,68 @@ pub fn run_groups(
     cycles: u64,
     group_size: usize,
 ) -> (Vec<u64>, u64) {
+    let (cores, pool) = (threads::host_cores(), threads::helpers());
+    run_groups_on(
+        design, program, exec, map, source, cycles, group_size, cores, pool,
+    )
+}
+
+/// [`run_groups`] on a host of `cores` cores whose spare threads are
+/// leased from `pool`.
+#[allow(clippy::too_many_arguments)]
+fn run_groups_on(
+    design: &Design,
+    program: &KernelProgram,
+    exec: ExecConfig,
+    map: &PortMap,
+    source: &dyn StimulusSource,
+    cycles: u64,
+    group_size: usize,
+    cores: usize,
+    pool: &threads::SlotPool,
+) -> (Vec<u64>, u64) {
     let n = source.num_stimulus();
-    let (group_size, num_groups) = group_split(group_size, n);
-    let mut digests = Vec::with_capacity(n);
-    let mut scalar_ops = 0u64;
-    for g in 0..num_groups {
-        let (tid0, len) = group_range(g, group_size, n);
-        let mut runner = GroupRunner::new(program, exec, len);
-        for _ in 0..cycles {
-            runner.poke_source(map, source, tid0);
-            runner.step();
+    let (group_size, _) = group_split(group_size, n);
+    let block = threads::lane_block(group_size, cores, exec.lane_chunk);
+    let num_blocks = n / group_size * group_size.div_ceil(block) + (n % group_size).div_ceil(block);
+    let lease = pool.lease(num_blocks.min(cores).saturating_sub(1));
+    let mut digests = vec![0u64; n];
+    let blocks = digests
+        .chunks_mut(group_size)
+        .enumerate()
+        .flat_map(|(g, group)| {
+            let tid0 = g * group_size;
+            group
+                .chunks_mut(block)
+                .enumerate()
+                .map(move |(b, out)| (tid0 + b * block, out))
+        });
+    let queue = Mutex::new(blocks);
+    let work = || {
+        let mut scalar_ops = 0u64;
+        loop {
+            // Bound first: the lock is released before the block runs.
+            let next = queue.lock().expect("block queue poisoned").next();
+            let Some((tid0, out)) = next else {
+                return scalar_ops;
+            };
+            let mut runner = GroupRunner::new(program, exec, out.len());
+            for _ in 0..cycles {
+                runner.poke_source(map, source, tid0);
+                runner.step();
+            }
+            out.copy_from_slice(&runner.digests(design));
+            scalar_ops += runner.scalar_ops();
         }
-        digests.extend(runner.digests(design));
-        scalar_ops += runner.scalar_ops();
-    }
+    };
+    let scalar_ops = std::thread::scope(|s| {
+        let helpers: Vec<_> = (0..lease.slots).map(|_| s.spawn(work)).collect();
+        let mut scalar_ops = work();
+        for h in helpers {
+            scalar_ops += h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
+        scalar_ops
+    });
     (digests, scalar_ops)
 }
 
@@ -525,6 +598,131 @@ mod tests {
                 "job {j} digests must be bit-identical to its standalone run"
             );
         }
+    }
+
+    /// The reference the block split must reproduce: one runner per
+    /// modeled group, in group order, on the caller's thread.
+    fn per_group(
+        design: &Design,
+        program: &KernelProgram,
+        exec: ExecConfig,
+        map: &PortMap,
+        source: &dyn StimulusSource,
+        cycles: u64,
+        group: usize,
+    ) -> (Vec<u64>, u64) {
+        let n = source.num_stimulus();
+        let (mut digests, mut scalar_ops) = (Vec::new(), 0);
+        for tid0 in (0..n).step_by(group) {
+            let mut runner = GroupRunner::new(program, exec, group.min(n - tid0));
+            for _ in 0..cycles {
+                runner.poke_source(map, source, tid0);
+                runner.step();
+            }
+            digests.extend(runner.digests(design));
+            scalar_ops += runner.scalar_ops();
+        }
+        (digests, scalar_ops)
+    }
+
+    #[test]
+    fn lane_blocks_match_one_runner_per_group() {
+        let cycles = 2;
+        let execs = [
+            ExecConfig::scalar(),
+            ExecConfig::fused(),
+            ExecConfig::fused().with_lane_chunk(7),
+        ];
+        for bench in [Benchmark::RiscvMini, Benchmark::Handshake] {
+            let design = bench.elaborate().unwrap();
+            let (program, _) = prepare(&design, &GpuModel::default()).unwrap();
+            let map = PortMap::from_design(&design);
+            for n in [1usize, 63, 65, 257, 1000] {
+                let src = stimulus::source_for(&design, &map, n, 0x5eed ^ n as u64);
+                for group in [1usize, 7, 256, 300, 1024] {
+                    for exec in execs {
+                        let what = format!("{bench:?} n={n} group={group} {}", exec.spec());
+                        let run = |cores, pool: &threads::SlotPool| {
+                            run_groups_on(
+                                &design, &program, exec, &map, &*src, cycles, group, cores, pool,
+                            )
+                        };
+                        let golden = per_group(&design, &program, exec, &map, &*src, cycles, group);
+                        if exec == ExecConfig::default() {
+                            let host =
+                                run_groups(&design, &program, exec, &map, &*src, cycles, group);
+                            assert_eq!(host, golden, "{what} on this host");
+                        }
+                        let three = run(3, &threads::SlotPool::new(2));
+                        assert_eq!(three, golden, "{what} on three cores");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A source that records which thread fills each (stimulus, cycle).
+    struct Recorded {
+        inner: Box<dyn StimulusSource>,
+        fills: std::sync::Mutex<Vec<(std::thread::ThreadId, usize, u64)>>,
+    }
+
+    impl StimulusSource for Recorded {
+        fn num_stimulus(&self) -> usize {
+            self.inner.num_stimulus()
+        }
+        fn fill_frame(&self, stimulus: usize, cycle: u64, frame: &mut [u64]) {
+            let me = std::thread::current().id();
+            self.fills.lock().unwrap().push((me, stimulus, cycle));
+            self.inner.fill_frame(stimulus, cycle, frame)
+        }
+        fn num_ports(&self) -> usize {
+            self.inner.num_ports()
+        }
+    }
+
+    #[test]
+    fn one_core_steps_every_group_in_order_on_the_caller() {
+        let (design, program, _, map, _) = setup(1);
+        let (n, cycles, group) = (20usize, 3u64, 8usize);
+        let src = Recorded {
+            inner: stimulus::source_for(&design, &map, n, 3),
+            fills: Default::default(),
+        };
+        // A free slot is on offer; one core must not take it.
+        let pool = threads::SlotPool::new(1);
+        let exec = ExecConfig::default();
+        run_groups_on(&design, &program, exec, &map, &src, cycles, group, 1, &pool);
+        let me = std::thread::current().id();
+        let expect: Vec<_> = (0..n)
+            .step_by(group)
+            .flat_map(|tid0| {
+                (0..cycles).flat_map(move |c| (tid0..n.min(tid0 + group)).map(move |s| (me, s, c)))
+            })
+            .collect();
+        assert_eq!(*src.fills.lock().unwrap(), expect);
+        assert_eq!(pool.lease(1).slots, 1, "the slot was not returned");
+    }
+
+    #[test]
+    fn digest_checksum_is_an_fnv1a_fold() {
+        let (_, program, graph, map, _) = setup(1);
+        let cfg = PipelineConfig::default();
+        let mut r = model_batch(
+            &program,
+            &graph,
+            map.len(),
+            1,
+            1,
+            &cfg,
+            &GpuModel::default(),
+        );
+        assert_eq!(r.digest_checksum(), 0xcbf2_9ce4_8422_2325);
+        r.digests = vec![1, 2];
+        let one = (0xcbf2_9ce4_8422_2325u64 ^ 1).wrapping_mul(0x100_0000_01b3);
+        assert_eq!(r.digest_checksum(), (one ^ 2).wrapping_mul(0x100_0000_01b3));
+        r.digests.reverse();
+        assert_ne!(r.digest_checksum(), (one ^ 2).wrapping_mul(0x100_0000_01b3));
     }
 
     #[test]
