@@ -53,17 +53,20 @@ pub fn prepare_tuned(
 /// Engine-cache fill path: consult the tuned-artifact cache under
 /// `policy`, build with the tuned config on a hit, and fall back to the
 /// default build when there is no artifact *or the tuned build fails*
-/// (a stale artifact must never take an engine down). Returns the build
-/// plus the artifact actually applied (`None` = default config).
+/// (a stale artifact must never take an engine down). `key` is the
+/// design's [`rtlir::design_hash`], which every engine cache already
+/// holds. Returns the build plus the artifact actually applied (`None` =
+/// default config).
 pub fn prepare_with_policy(
     design: &Design,
+    key: u64,
     model: &GpuModel,
     policy: &TunePolicy,
 ) -> (
     Result<(KernelProgram, CudaGraph), String>,
     Option<TunedArtifact>,
 ) {
-    if let Some(artifact) = policy.lookup(rtlir::design_hash(design)) {
+    if let Some(artifact) = policy.lookup(key) {
         if let Ok(built) = prepare_tuned(design, model, &artifact) {
             return (Ok(built), Some(artifact));
         }
@@ -90,7 +93,8 @@ mod tests {
     fn policy_off_uses_default_build() {
         let design = Benchmark::Nvdla(NvdlaScale::Tiny).elaborate().unwrap();
         let model = GpuModel::default();
-        let (built, tuned) = prepare_with_policy(&design, &model, &TunePolicy::Off);
+        let key = rtlir::design_hash(&design);
+        let (built, tuned) = prepare_with_policy(&design, key, &model, &TunePolicy::Off);
         assert!(built.is_ok());
         assert!(tuned.is_none());
     }
@@ -114,7 +118,9 @@ mod tests {
         };
         let report = tune(&design, "tiny", &cfg).unwrap();
         TuneCache::at(&dir).store(&report.artifact).unwrap();
-        let (built, tuned) = prepare_with_policy(&design, &model, &TunePolicy::Dir(dir.clone()));
+        let key = rtlir::design_hash(&design);
+        let (built, tuned) =
+            prepare_with_policy(&design, key, &model, &TunePolicy::Dir(dir.clone()));
         assert!(built.is_ok());
         assert_eq!(tuned.unwrap(), report.artifact);
     }

@@ -8,13 +8,31 @@
 
 use bench::Scale;
 
+const USAGE: &str = "usage: repro [EXPERIMENT] [--fast]
+  EXPERIMENT  table1..table5, fig2, fig12..fig16, ablations or all (default)
+  --fast      quick smoke pass at reduced scale
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    for a in args.iter().filter(|a| a.starts_with('-')) {
+        match a.as_str() {
+            "--fast" => {}
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
+            _ => {
+                eprint!("repro: unknown flag `{a}`\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
     let fast = args.iter().any(|a| a == "--fast");
     let scale = if fast { Scale::fast() } else { Scale::full() };
     let what = args
         .iter()
-        .find(|a| !a.starts_with("--"))
+        .find(|a| !a.starts_with('-'))
         .map(String::as_str)
         .unwrap_or("all");
 

@@ -549,7 +549,7 @@ fn start_batch(
         let model = cudasim::GpuModel::default();
         // Engine-cache fill consults the tuned-artifact cache; a miss or
         // a failing tuned build degrades to `pipeline::prepare` semantics.
-        let (built, tuned) = autotune::prepare_with_policy(&design, &model, policy);
+        let (built, tuned) = autotune::prepare_with_policy(&design, key, &model, policy);
         let (program, _graph) = built.map_err(|e| format!("batch {}: prepare: {e}", desc.batch))?;
         let map = PortMap::from_design(&design);
         slot.insert(Engine {

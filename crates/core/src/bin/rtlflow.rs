@@ -13,6 +13,35 @@
 
 use std::process::exit;
 
+// `print!`/`println!` for this binary: once the reader has closed the
+// pipe (`rtlflow simulate … | head -1`) the process exits 0, where std's
+// macros would panic with "failed printing to stdout". Defined before
+// any use, they shadow the prelude macros for the whole file.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        print_or_exit(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print_or_exit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn print_or_exit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 use rtlflow::cli::{benchmark_by_name, checked, choice, csv_list, Args};
 use rtlflow::{fmt_duration, Benchmark, Flow, PipelineConfig, PortMap};
 use transpile::ToggleCoverage;

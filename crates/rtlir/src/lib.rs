@@ -71,11 +71,20 @@ pub fn elaborate(src: &str, top: &str) -> Result<Design> {
 pub fn design_hash(design: &Design) -> u64 {
     // FNV-1a over the debug rendering: the Debug form covers every var,
     // process and statement, so structural changes always change the key.
-    let repr = format!("{design:?}");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in repr.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    // The rendering streams into the hash instead of a `String` (tens of
+    // KB on the benchmark cores); the value is the same byte for byte.
+    struct Fnv1a(u64);
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    h
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    std::fmt::Write::write_fmt(&mut h, format_args!("{design:?}"))
+        .expect("hashing a design's Debug form cannot fail");
+    h.0
 }

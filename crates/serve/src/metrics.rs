@@ -5,6 +5,8 @@ use std::time::Duration;
 
 use desim::Json;
 
+use crate::coalesce::FlushReason;
+
 /// Snapshot of the service's behaviour since start.
 #[derive(Debug, Clone, Default)]
 pub struct ServeMetrics {
@@ -20,6 +22,14 @@ pub struct ServeMetrics {
     pub dispatches: u64,
     /// Total stimulus across all dispatched batches.
     pub stimulus_dispatched: u64,
+    /// Why each dispatched batch's window closed: the bin reached
+    /// `max_batch`, its class deadline passed, a worker was idle and the
+    /// bin had gone quiet, or the service was shutting down. The four
+    /// sum to `dispatches`.
+    pub flushes_full: u64,
+    pub flushes_deadline: u64,
+    pub flushes_idle: u64,
+    pub flushes_shutdown: u64,
     /// Histogram of dispatched batch sizes (stimulus); bucket `i` counts
     /// batches with `2^i <= size < 2^(i+1)`, bucket 0 also holds size 1.
     pub batch_size_buckets: [u64; 24],
@@ -60,8 +70,19 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    pub(crate) fn record_dispatch(&mut self, total_stimulus: usize, cache_hit: bool) {
+    pub(crate) fn record_dispatch(
+        &mut self,
+        total_stimulus: usize,
+        cache_hit: bool,
+        reason: FlushReason,
+    ) {
         self.dispatches += 1;
+        *match reason {
+            FlushReason::Full => &mut self.flushes_full,
+            FlushReason::Deadline => &mut self.flushes_deadline,
+            FlushReason::Idle => &mut self.flushes_idle,
+            FlushReason::Shutdown => &mut self.flushes_shutdown,
+        } += 1;
         self.stimulus_dispatched += total_stimulus as u64;
         let bucket = (usize::BITS - 1 - total_stimulus.max(1).leading_zeros()) as usize;
         self.batch_size_buckets[bucket.min(self.batch_size_buckets.len() - 1)] += 1;
@@ -140,6 +161,13 @@ impl ServeMetrics {
         row("jobs completed", self.jobs_completed.to_string());
         row("jobs failed", self.jobs_failed.to_string());
         row("batches dispatched", self.dispatches.to_string());
+        row(
+            "window closes",
+            format!(
+                "full {} / deadline {} / idle {} / shutdown {}",
+                self.flushes_full, self.flushes_deadline, self.flushes_idle, self.flushes_shutdown
+            ),
+        );
         row(
             "mean batch size (stimulus)",
             format!("{:.1}", self.mean_batch_stimulus()),
@@ -226,6 +254,10 @@ impl ServeMetrics {
             .field("jobs_failed", self.jobs_failed)
             .field("dispatches", self.dispatches)
             .field("stimulus_dispatched", self.stimulus_dispatched)
+            .field("flushes_full", self.flushes_full)
+            .field("flushes_deadline", self.flushes_deadline)
+            .field("flushes_idle", self.flushes_idle)
+            .field("flushes_shutdown", self.flushes_shutdown)
             .field("mean_batch_stimulus", self.mean_batch_stimulus())
             .field("coalescing_efficiency", self.coalescing_efficiency())
             .field("cache_hits", self.cache_hits)
@@ -265,10 +297,10 @@ mod tests {
     #[test]
     fn histogram_buckets_by_power_of_two() {
         let mut m = ServeMetrics::default();
-        m.record_dispatch(1, true); // bucket 0
-        m.record_dispatch(3, true); // bucket 1 (2..3)
-        m.record_dispatch(4, true); // bucket 2 (4..7)
-        m.record_dispatch(1024, false); // bucket 10
+        m.record_dispatch(1, true, FlushReason::Full); // bucket 0
+        m.record_dispatch(3, true, FlushReason::Deadline); // bucket 1 (2..3)
+        m.record_dispatch(4, true, FlushReason::Idle); // bucket 2 (4..7)
+        m.record_dispatch(1024, false, FlushReason::Idle); // bucket 10
         assert_eq!(m.batch_size_buckets[0], 1);
         assert_eq!(m.batch_size_buckets[1], 1);
         assert_eq!(m.batch_size_buckets[2], 1);
@@ -276,6 +308,16 @@ mod tests {
         assert_eq!(m.cache_hits, 3);
         assert_eq!(m.cache_misses, 1);
         assert!((m.cache_hit_rate() - 0.75).abs() < 1e-12);
+        let closes = [
+            m.flushes_full,
+            m.flushes_deadline,
+            m.flushes_idle,
+            m.flushes_shutdown,
+        ];
+        assert_eq!(closes, [1, 1, 2, 0]);
+        assert!(m
+            .table()
+            .contains("full 1 / deadline 1 / idle 2 / shutdown 0"));
     }
 
     #[test]
@@ -317,12 +359,13 @@ mod tests {
     #[test]
     fn json_snapshot_carries_pool_counters() {
         let mut m = ServeMetrics::default();
-        m.record_dispatch(24, false);
+        m.record_dispatch(24, false, FlushReason::Shutdown);
         m.pool_dispatches = 1;
         m.pool_steals = 3;
         let j = m.to_json().to_string();
         assert!(j.contains("\"pool_steals\":3"));
         assert!(j.contains("\"dispatches\":1"));
+        assert!(j.contains("\"flushes_shutdown\":1"));
         assert!(j.contains("\"batch_size_histogram\":[{"));
     }
 }

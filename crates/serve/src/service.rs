@@ -6,8 +6,9 @@
 //! * **Clients** call [`SimService::submit`], which either enqueues the
 //!   job (streaming a `Queued` event) or rejects it with a retry-after.
 //! * **The scheduler** drains the queue into the [`Coalescer`], shipping
-//!   full bins immediately and expired bins on their deadline, then
-//!   sleeps until the next deadline or the next submit.
+//!   full bins immediately, expired bins on their deadline, and quiet
+//!   bins as soon as a worker is idle, then sleeps until the next of
+//!   those instants, the next submit or the next finished batch.
 //! * **Workers** pull coalesced batches from a shared channel, look up
 //!   (or build, once per design) the compiled engine in the warm cache,
 //!   run the launch — one [`pipeline::run_groups`] pass, timed by
@@ -18,9 +19,9 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,7 +75,10 @@ impl std::fmt::Debug for ClusterBackend {
 pub struct ServeConfig {
     /// Stimulus per coalesced launch before a bin must flush.
     pub max_batch: usize,
-    /// Base flush window; per-job deadline is `class.window(window)`.
+    /// Base flush window. A bin flushes when it is full, when its
+    /// deadline passes (the earliest `join + class.window(window)` over
+    /// its jobs), or — once a worker is idle — when no job has joined it
+    /// for `DeadlineClass::Interactive.window(window)` (`window / 4`).
     pub window: Duration,
     /// In-flight jobs (admitted, not yet terminal) past which submits
     /// are rejected with a retry-after (backpressure).
@@ -168,7 +172,7 @@ impl EngineCache {
         // hit builds with the tuned partition/fuse config, any miss (or a
         // corrupt entry, or a failing tuned build) degrades to
         // `pipeline::prepare` semantics.
-        let (built, tuned) = autotune::prepare_with_policy(design, model, policy);
+        let (built, tuned) = autotune::prepare_with_policy(design, key, model, policy);
         match built {
             Ok((program, graph)) => {
                 let engine = Arc::new(Engine {
@@ -191,8 +195,20 @@ impl EngineCache {
 struct Shared {
     queue: Mutex<JobQueue>,
     metrics: Mutex<ServeMetrics>,
-    /// Signalled on submit and on shutdown; the scheduler waits on it.
+    /// Signalled on submit, when a worker finishes a batch, and on
+    /// shutdown; the scheduler waits on it with `queue` held.
     wake: Condvar,
+    /// Batches the scheduler has sent that no worker has finished yet.
+    /// Changed only with `queue` locked, like the scheduler's idle check:
+    /// a worker's decrement and notify can then never fall between that
+    /// check and the scheduler's wait, where the wake-up would be lost.
+    running: AtomicUsize,
+    /// `design_hash` per submitted design allocation, so a client that
+    /// resubmits one `Arc<Design>` pays for the hash once. A live `Weak`
+    /// pins its allocation, so an address is never reused while listed,
+    /// and an `Arc<Design>` is immutable (`Arc::get_mut` refuses while a
+    /// `Weak` exists). Entries whose design was dropped are pruned.
+    design_keys: Mutex<Vec<(Weak<Design>, u64)>>,
     stop: AtomicBool,
     /// Set by [`SimService::crash`]: threads abandon queued and
     /// in-flight work instead of draining it, simulating a hard stop.
@@ -259,6 +275,8 @@ impl SimService {
             queue: Mutex::new(JobQueue::new(cfg.queue_limit)),
             metrics: Mutex::new(ServeMetrics::default()),
             wake: Condvar::new(),
+            running: AtomicUsize::new(0),
+            design_keys: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             journal: Mutex::new(journal),
@@ -323,7 +341,7 @@ impl SimService {
         let id = JobId::fresh();
         let (handle, events) = JobHandle::new(id);
         let key = CompatKey {
-            design: design_hash(&spec.design),
+            design: self.design_key(&spec.design),
             cycles: spec.cycles,
         };
         let n = spec.source.num_stimulus() as u64;
@@ -407,6 +425,25 @@ impl SimService {
         }
     }
 
+    /// The design's [`design_hash`], computed once per `Arc` allocation.
+    fn design_key(&self, design: &Arc<Design>) -> u64 {
+        let mut keys = self
+            .shared
+            .design_keys
+            .lock()
+            .expect("design keys poisoned");
+        keys.retain(|(weak, _)| weak.strong_count() > 0);
+        if let Some(&(_, key)) = keys
+            .iter()
+            .find(|(weak, _)| std::ptr::eq(weak.as_ptr(), Arc::as_ptr(design)))
+        {
+            return key;
+        }
+        let key = design_hash(design);
+        keys.push((Arc::downgrade(design), key));
+        key
+    }
+
     /// Current metrics snapshot.
     pub fn metrics(&self) -> ServeMetrics {
         self.shared
@@ -470,6 +507,13 @@ impl Drop for SimService {
 
 fn scheduler_loop(shared: &Shared, cfg: &ServeConfig, batch_tx: Sender<Batch>) {
     let mut coalescer = Coalescer::new(cfg.max_batch, cfg.window);
+    let workers = cfg.workers.max(1);
+    // Every call happens with `queue` locked (see `Shared::running`).
+    let send = |batch: Batch| {
+        shared.running.fetch_add(1, Ordering::SeqCst);
+        let _ = batch_tx.send(batch);
+    };
+    let idle = || shared.running.load(Ordering::SeqCst) < workers;
     let mut queue = shared.queue.lock().expect("queue poisoned");
     loop {
         if shared.crashed.load(Ordering::SeqCst) {
@@ -478,19 +522,17 @@ fn scheduler_loop(shared: &Shared, cfg: &ServeConfig, batch_tx: Sender<Batch>) {
         }
         while let Some(job) = queue.pop() {
             if let Some(batch) = coalescer.add(job, Instant::now()) {
-                let _ = batch_tx.send(batch);
+                send(batch);
             }
         }
-        for batch in coalescer.poll(Instant::now()) {
-            let _ = batch_tx.send(batch);
+        for batch in coalescer.poll(Instant::now(), idle()) {
+            send(batch);
         }
         if shared.stop.load(Ordering::SeqCst) && queue.queued() == 0 {
-            for batch in coalescer.flush_all() {
-                let _ = batch_tx.send(batch);
-            }
+            coalescer.flush_all().into_iter().for_each(&send);
             break;
         }
-        let timeout = match coalescer.next_deadline() {
+        let timeout = match coalescer.next_deadline(idle()) {
             Some(d) => d
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_micros(100)),
@@ -526,14 +568,20 @@ fn worker_loop(
             let guard = rx.lock().expect("batch channel poisoned");
             guard.recv()
         };
-        match batch {
-            // A crash drops already-channelled batches on the floor too:
-            // their jobs' event channels close unresolved, exactly like
-            // a process that died between dispatch and completion.
-            Ok(_) if shared.crashed.load(Ordering::SeqCst) => continue,
-            Ok(batch) => run_coalesced(shared, cache, cfg, batch),
-            Err(_) => break, // scheduler gone and channel drained
+        let Ok(batch) = batch else {
+            break; // scheduler gone and channel drained
+        };
+        // A crash drops already-channelled batches on the floor too:
+        // their jobs' event channels close unresolved, exactly like a
+        // process that died between dispatch and completion.
+        if !shared.crashed.load(Ordering::SeqCst) {
+            run_coalesced(shared, cache, cfg, batch);
         }
+        // This worker is free again: with `queue` locked (see
+        // `Shared::running`), so a scheduler holding a quiet bin wakes.
+        let _queue = shared.queue.lock().expect("queue poisoned");
+        shared.running.fetch_sub(1, Ordering::SeqCst);
+        shared.wake.notify_all();
     }
 }
 
@@ -553,7 +601,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
         Ok(e) => e,
         Err(error) => {
             let mut m = shared.metrics.lock().expect("metrics poisoned");
-            m.record_dispatch(total, cache_hit);
+            m.record_dispatch(total, cache_hit, batch.reason);
             m.jobs_failed += n_jobs as u64;
             drop(m);
             for job in batch.jobs {
@@ -726,7 +774,7 @@ fn run_coalesced(shared: &Shared, cache: &EngineCache, cfg: &ServeConfig, batch:
 
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.record_dispatch(total, cache_hit);
+        m.record_dispatch(total, cache_hit, batch.reason);
         m.record_service_time(elapsed / n_jobs as u32);
         for meta in &metas {
             m.record_wait(dispatched_at.duration_since(meta.accepted_at));
@@ -800,12 +848,17 @@ mod tests {
         )
     }
 
+    /// A base window whose quiet period (window / 4 = 250 ms) outlasts
+    /// any gap between back-to-back submits, even on a loaded host: tests
+    /// that count dispatches use it, so a burst always closes as one.
+    const WIDE: Duration = Duration::from_secs(1);
+
     #[test]
     fn jobs_complete_and_coalesce_into_one_dispatch() {
         let design = tiny_design();
         let service = SimService::start(ServeConfig {
             max_batch: 4096,
-            window: Duration::from_millis(10),
+            window: WIDE,
             workers: 1,
             ..Default::default()
         });
@@ -878,7 +931,7 @@ mod tests {
         let design = tiny_design();
         let run = |devices: Vec<f64>| {
             let service = SimService::start(ServeConfig {
-                window: Duration::from_millis(10),
+                window: WIDE,
                 workers: 1,
                 group_size: 4,
                 devices,
@@ -916,7 +969,7 @@ mod tests {
         // Local-only reference digests.
         let run_local = || {
             let service = SimService::start(ServeConfig {
-                window: Duration::from_millis(10),
+                window: WIDE,
                 workers: 1,
                 ..Default::default()
             });
@@ -937,7 +990,7 @@ mod tests {
             .wait_for_workers(1, Duration::from_secs(5))
             .unwrap();
         let service = SimService::start(ServeConfig {
-            window: Duration::from_millis(10),
+            window: WIDE,
             workers: 1,
             cluster: Some(ClusterBackend {
                 controller: Arc::clone(&controller),
@@ -1077,5 +1130,88 @@ mod tests {
         let vcd = r.vcd.expect("want_vcd must produce a waveform");
         assert!(vcd.contains("$enddefinitions"));
         drop(service);
+    }
+
+    #[test]
+    fn idle_worker_closes_a_quiet_burst_before_its_deadline() {
+        let design = tiny_design();
+        // Bulk deadline 4 s, quiet period 250 ms.
+        let service = SimService::start(ServeConfig {
+            window: WIDE,
+            workers: 1,
+            ..Default::default()
+        });
+        let handles: Vec<JobHandle> = (0..8)
+            .map(|i| {
+                let spec = spec(&design, 4, i, 25).with_class(DeadlineClass::Bulk);
+                service.submit(spec).unwrap()
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.wait().unwrap().batch_jobs, 8);
+        }
+        let m = service.shutdown();
+        assert_eq!(m.dispatches, 1);
+        assert_eq!(m.flushes_idle, 1, "{m:?}");
+        assert_eq!(m.flushes_deadline, 0, "{m:?}");
+        assert_eq!(m.flushes_full + m.flushes_shutdown, 0, "{m:?}");
+    }
+
+    #[test]
+    fn design_keys_are_hashed_once_per_allocation() {
+        let service = SimService::start(ServeConfig::default());
+        let (a, b) = (tiny_design(), tiny_design());
+        let other = Arc::new(
+            rtlir::elaborate(
+                "module top(input clk, input rst, input [7:0] a, output [7:0] q);
+                 assign q = ~a; endmodule",
+                "top",
+            )
+            .unwrap(),
+        );
+        // Separate allocations of one structure share the structural key;
+        // two designs looked up alternately keep their own.
+        assert_eq!(service.design_key(&a), design_hash(&a));
+        assert_eq!(service.design_key(&b), design_hash(&a));
+        for _ in 0..2 {
+            assert_eq!(service.design_key(&other), design_hash(&other));
+            assert_eq!(service.design_key(&a), design_hash(&a));
+        }
+        assert_ne!(design_hash(&a), design_hash(&other));
+        assert_eq!(service.shared.design_keys.lock().unwrap().len(), 3);
+        // A dropped design's entry goes on the next lookup.
+        drop(b);
+        service.design_key(&a);
+        assert_eq!(service.shared.design_keys.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn memoised_keys_coalesce_equal_designs_and_separate_different_ones() {
+        let (a, b) = (tiny_design(), tiny_design());
+        let other = Arc::new(
+            rtlir::elaborate(
+                "module top(input clk, input rst, input [7:0] a, output [7:0] q);
+                 reg [7:0] r; always @(posedge clk) r <= rst ? 8'd0 : r ^ a;
+                 assign q = r; endmodule",
+                "top",
+            )
+            .unwrap(),
+        );
+        let service = SimService::start(ServeConfig {
+            window: WIDE,
+            workers: 1,
+            ..Default::default()
+        });
+        // a, other, b, other: the two structures alternate.
+        let handles: Vec<JobHandle> = [&a, &other, &b, &other]
+            .iter()
+            .enumerate()
+            .map(|(i, d)| service.submit(spec(d, 4, i as u64, 20)).unwrap())
+            .collect();
+        for h in handles {
+            assert_eq!(h.wait().unwrap().batch_jobs, 2);
+        }
+        let m = service.shutdown();
+        assert_eq!(m.dispatches, 2, "one launch per structure");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! * the tuned-artifact cache round-trips through disk and is keyed by
 //!   `rtlir::design_hash`, which must be stable across reimports of the
-//!   same benchmark,
+//!   same benchmark and equals FNV-1a over the design's `Debug` string,
 //! * corrupt, truncated, or mis-keyed cache entries are silently
 //!   rejected (counted, never panicking, never changing results),
 //! * a tuning run under the static cost model is bit-for-bit
@@ -58,6 +58,28 @@ fn design_hash_is_stable_across_reimports() {
         rtlir::design_hash(&c.design),
         "distinct designs must not collide on the cache key"
     );
+}
+
+/// Tuned-artifact file names, wire `design_key`s and checkpoint headers
+/// all carry `design_hash`: the streaming hash must equal FNV-1a over the
+/// `Debug` string it replaced, on every benchmark design.
+#[test]
+fn design_hash_matches_fnv1a_over_the_debug_string() {
+    for b in [
+        Benchmark::RiscvMini,
+        Benchmark::Spinal,
+        Benchmark::Nvdla(NvdlaScale::HwSmall),
+        Benchmark::Picorv32,
+        Benchmark::Handshake,
+    ] {
+        let design = b.elaborate().unwrap();
+        let mut want = 0xcbf2_9ce4_8422_2325u64;
+        for &byte in format!("{design:?}").as_bytes() {
+            want ^= byte as u64;
+            want = want.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(rtlir::design_hash(&design), want, "{}", b.name());
+    }
 }
 
 #[test]

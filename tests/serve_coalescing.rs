@@ -47,11 +47,12 @@ fn coalesced_jobs_are_bit_identical_to_standalone_flow_runs() {
         })
         .collect();
 
-    // The same four jobs, submitted concurrently; a 100ms window with a
+    // The same four jobs, submitted concurrently; a 1 s window (quiet
+    // period 250 ms, longer than any gap between the four submits) with a
     // roomy max batch guarantees they ride one coalesced launch.
     let service = SimService::start(ServeConfig {
         max_batch: 4096,
-        window: Duration::from_millis(100),
+        window: Duration::from_secs(1),
         workers: 2,
         ..Default::default()
     });

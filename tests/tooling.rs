@@ -1,5 +1,6 @@
 //! Integration tests for the verification tooling built on the flow:
-//! checkpoints, VCD dumps and toggle coverage.
+//! checkpoints, VCD dumps and toggle coverage, and the CLI's exit on a
+//! closed stdout.
 
 use cudasim::Scratch;
 use rtlflow::{Benchmark, Flow, PortMap, RiscvSource};
@@ -164,4 +165,29 @@ fn coverage_shards_merge_to_whole() {
         merged.merge(&cov);
     }
     assert_eq!(merged.covered_bits(), whole.covered_bits());
+}
+
+/// A reader that has gone away (`rtlflow simulate … | head -1`) ends the
+/// CLI with exit 0 and no panic, whichever line hits the closed pipe.
+#[test]
+fn cli_exits_cleanly_on_a_closed_stdout() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rtlflow"))
+        .args([
+            "simulate",
+            "--benchmark",
+            "riscv-mini",
+            "-n",
+            "8",
+            "-c",
+            "4",
+        ])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
